@@ -30,21 +30,22 @@ a = Tensor(np.array(3.0), requires_grad=True)
 print(f"d(a+a)/da = {a.grad} (two paths, one tensor)")
 
 print("\n== convolution with 'same' zero padding ==")
-image = Tensor(np.ones((1, 3, 3), np.float32))
+# conv2d and maxpool2 take batches (N, C, H, W); here a batch of one image
+image = Tensor(np.ones((1, 1, 3, 3), np.float32))
 kernel = Tensor(np.ones((1, 1, 3, 3), np.float32))
 out = T.conv2d(image, kernel, Tensor(np.zeros(1, np.float32)))
 print("all-ones 3x3 image, all-ones 3x3 kernel counts its neighbourhood:")
-print(out.data[0])
+print(out.data[0, 0])
 
 print("\n== max pooling keeps spatial floor semantics ==")
-tall = Tensor(rng.normal(size=(4, 15, 15)))
+tall = Tensor(rng.normal(size=(2, 4, 15, 15)))
 print(f"15x15 pools to {T.maxpool2(tall).shape[-2:]} (odd row/column dropped)")
 
 print("\n== analytic vs numeric gradients ==")
-x64 = Tensor(rng.normal(size=(2, 6, 6)), requires_grad=True)
+x64 = Tensor(rng.normal(size=(2, 2, 6, 6)), requires_grad=True)
 k64 = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
 b64 = Tensor(rng.normal(size=3), requires_grad=True)
-mix = Tensor(rng.normal(size=(3, 6, 6)))
+mix = Tensor(rng.normal(size=(2, 3, 6, 6)))
 
 
 def loss_fn():

@@ -10,7 +10,6 @@ import numpy as np
 
 from mrscene.kbranch import (
     DEFAULT_BAND_GROUPS,
-    assemble_patches,
     branch_forward,
     default_branch_specs,
     fuse_descriptors,
@@ -33,8 +32,10 @@ patches = split_patches(subsets, 16)
 for k, tiles in enumerate(patches.per_subset):
     print(f"  group {k} ({','.join(DEFAULT_BAND_GROUPS[k])}): {tiles.shape}")
 
-back = assemble_patches(patches)
-print("reassembly is bit-exact:", all(np.array_equal(a, b) for a, b in zip(subsets, back)))
+# patch r covers grid cell (r // 4, r % 4) of every group
+ph = subsets[0].shape[1] // 4
+print("patch 5 is the slice at cell (1, 1):",
+      np.array_equal(patches.patch(5, 0), subsets[0][:, ph : 2 * ph, ph : 2 * ph]))
 
 print("\n== branch schedules ==")
 for k, spec in enumerate(default_branch_specs(DEFAULT_BAND_GROUPS)):

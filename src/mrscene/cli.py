@@ -19,6 +19,7 @@ from .errors import ConfigError, FormatError, MrsceneError, UsageError
 from .head import predict
 from .metrics import aggregate
 from .model import Model, ModelConfig
+from .tensor import no_grad
 from .trainer import TrainConfig, evaluate_model, train
 
 
@@ -168,6 +169,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_attn_dump(args) -> int:
+    if args.batch_size < 1:
+        raise UsageError(f"batch_size must be >= 1, got {args.batch_size}")
     manifest = _load_manifest(args.data)
     model, data = _model_from_checkpoint(args.checkpoint, manifest)
     samples = load_split(manifest, args.split, args.data)
@@ -176,7 +179,8 @@ def cmd_attn_dump(args) -> int:
     print(_format_echo(data.config))
     for start in range(0, len(samples), args.batch_size):
         batch = samples[start : start + args.batch_size]
-        attn = model.forward_samples(batch).attention.data
+        with no_grad():
+            attn = model.forward_samples(batch).attention.data
         for i, sample in enumerate(batch):
             print(f"sample {sample.id} attention ({attn.shape[1]} scores x {attn.shape[2]} patches):")
             for row in attn[i]:

@@ -15,6 +15,7 @@ noise. Identical (seed, parameters) produce byte-identical output.
 """
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -47,9 +48,6 @@ class Sample:
     labels: np.ndarray
     id: str
 
-    def n_bands_total(self) -> int:
-        return sum(s.shape[0] for s in self.subsets)
-
 
 @dataclass
 class SyntheticProfile:
@@ -77,9 +75,6 @@ class DatasetManifest:
     seed: int = 0
     noise: float = 0.0
     profile: str = ""
-
-    def all_ids(self) -> list:
-        return [sid for name in SPLIT_NAMES for sid in self.splits.get(name, [])]
 
     def to_json(self) -> str:
         payload = {
@@ -249,6 +244,8 @@ def generate_synthetic(
     """Write a synthetic dataset (samples + manifest.json) under out_dir."""
     if n_samples < 1:
         raise UsageError(f"n_samples must be >= 1, got {n_samples}")
+    if not (math.isfinite(noise) and noise >= 0):
+        raise UsageError(f"noise must be a finite number >= 0, got {noise}")
     if profile not in PROFILES:
         raise ConfigError(f"unknown profile {profile!r}; choose from {sorted(PROFILES)}")
     prof = PROFILES[profile]

@@ -176,16 +176,16 @@ def check_module_gradients(seed: int = 0, step: float = DEFAULT_STEP) -> list:
     def weighted(out, weights):
         return T.sum_all(T.mul(out, weights))
 
-    x = Tensor(rng.normal(size=(2, 5, 5)), requires_grad=True)
+    x = Tensor(rng.normal(size=(2, 2, 5, 5)), requires_grad=True)
     k = Tensor(rng.normal(size=(3, 2, 3, 3)) * 0.5, requires_grad=True)
     b = Tensor(rng.normal(size=3), requires_grad=True)
-    wc = Tensor(rng.normal(size=(3, 5, 5)))
+    wc = Tensor(rng.normal(size=(2, 3, 5, 5)))
     reports.append(check_parameters(
         lambda: weighted(T.conv2d(x, k, b), wc), {"input": x, "kernels": k, "bias": b},
         step=step, label="conv2d"))
 
-    xp = Tensor(rng.normal(size=(2, 6, 6)), requires_grad=True)
-    wp = Tensor(rng.normal(size=(2, 3, 3)))
+    xp = Tensor(rng.normal(size=(2, 2, 6, 6)), requires_grad=True)
+    wp = Tensor(rng.normal(size=(2, 2, 3, 3)))
     reports.append(check_parameters(
         lambda: weighted(T.maxpool2(xp), wp), {"input": xp}, step=step, label="maxpool2"))
 

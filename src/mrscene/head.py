@@ -4,18 +4,13 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ShapeError
-from .tensor import Tensor, _accumulate
-
-CLAMP_EPS = 1e-7
+from .tensor import Tensor, _accumulate, _sigmoid
 
 
 def vectorize_pooled(pooled: Tensor) -> Tensor:
     """Column-major flattening of the pooled descriptor matrix (d_phi, T)
-    to a vector of width d_phi*T; batched inputs keep their leading axis."""
-    transposed = T.swap_last_axes(pooled)
-    if pooled.ndim == 2:
-        return T.reshape(transposed, (-1,))
-    return T.reshape(transposed, (pooled.shape[0], -1))
+    to a vector of width d_phi*T; batched inputs keep their leading axes."""
+    return T.reshape(T.swap_last_axes(pooled), pooled.shape[:-2] + (-1,))
 
 
 def classify(pooled: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -29,16 +24,6 @@ def classify(pooled: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 def posteriors(scores: Tensor) -> Tensor:
     """Per-class probabilities sigmoid(z)."""
     return T.sigmoid(scores)
-
-
-def bce_loss(probs: Tensor, targets) -> Tensor:
-    """Mean binary cross-entropy over all entries, with probabilities
-    clamped to [eps, 1-eps]. This is the definitional form; training uses
-    the logit-space version below."""
-    y = Tensor(np.asarray(targets, dtype=probs.dtype))
-    p = T.clip(probs, CLAMP_EPS, 1.0 - CLAMP_EPS)
-    losses = y * T.log(p) + (1.0 - y) * T.log(1.0 - p)
-    return T.neg(T.mean_all(losses))
 
 
 def bce_with_logits_loss(scores: Tensor, targets) -> Tensor:
@@ -55,8 +40,6 @@ def bce_with_logits_loss(scores: Tensor, targets) -> Tensor:
     out_data = np.asarray(elementwise.mean(), dtype=z.dtype)
 
     def _bw(g):
-        from .tensor import _sigmoid
-
         _accumulate(scores, g * (_sigmoid(z) - y) / z.size)
 
     return Tensor(out_data, _parents=(scores,), _backward=_bw, _op="bce_with_logits")

@@ -110,35 +110,29 @@ class PatchSet:
         return self.per_subset[k][r]
 
 
+def tile(arr: np.ndarray, grid: int) -> np.ndarray:
+    """(B, bands, H, W) -> (R*B, bands, H/g, W/g), patch-major: rows
+    [r*B, (r+1)*B) hold patch r, at grid cell (r // g, r % g), of every
+    sample."""
+    b, bands, h, w = arr.shape
+    ph, pw = h // grid, w // grid
+    return (
+        arr.reshape(b, bands, grid, ph, grid, pw)
+        .transpose(2, 4, 0, 1, 3, 5)
+        .reshape(grid * grid * b, bands, ph, pw)
+    )
+
+
 def split_patches(subsets, n_patches: int) -> PatchSet:
     """Tile every subset of a sample into sqrt(R) x sqrt(R) patches."""
     grid = int(round(np.sqrt(n_patches)))
     if grid * grid != n_patches:
         raise ConfigError(f"patch count must be a perfect square, got {n_patches}")
-    per_subset = []
     for arr in subsets:
         bands, h, w = arr.shape
         if h % grid or w % grid:
             raise ConfigError(f"subset {bands}x{h}x{w} not divisible into {grid}x{grid} patches")
-        ph, pw = h // grid, w // grid
-        tiles = (
-            arr.reshape(bands, grid, ph, grid, pw)
-            .transpose(1, 3, 0, 2, 4)
-            .reshape(n_patches, bands, ph, pw)
-        )
-        per_subset.append(tiles)
-    return PatchSet(per_subset=per_subset, grid=grid)
-
-
-def assemble_patches(patches: PatchSet) -> list:
-    """Inverse of split_patches; reproduces the original subsets bit-exactly."""
-    out = []
-    g = patches.grid
-    for tiles in patches.per_subset:
-        r, bands, ph, pw = tiles.shape
-        arr = tiles.reshape(g, g, bands, ph, pw).transpose(2, 0, 3, 1, 4).reshape(bands, g * ph, g * pw)
-        out.append(arr.copy())
-    return out
+    return PatchSet(per_subset=[tile(arr[None], grid) for arr in subsets], grid=grid)
 
 
 @dataclass
@@ -185,20 +179,18 @@ def make_branch_params(spec: BranchSpec, in_bands: int, in_h: int, in_w: int,
 def branch_forward(x: Tensor, spec: BranchSpec, params: BranchParams) -> Tensor:
     """One branch: conv/ReLU stack with configured pooling, then an FC layer.
 
-    Accepts a single patch (bands, h, w) or a stack (N, bands, h, w).
+    Accepts a stack (N, bands, h, w) or a single patch (bands, h, w), which
+    runs as a stack of one and gives a 1-d output.
     """
     expected = len(spec.band_indices)
     if x.shape[-3] != expected:
         raise ShapeError(f"branch expects {expected} bands, got input {x.shape}")
-    out = x
+    out = x if x.ndim == 4 else T.reshape(x, (1,) + x.shape)
     for layer, kernels, bias in zip(spec.layers, params.conv_kernels, params.conv_biases):
         out = T.relu(T.conv2d(out, kernels, bias))
         if layer.pool:
             out = T.maxpool2(out)
-    if out.ndim == 4:
-        flat = T.reshape(out, (out.shape[0], -1))
-    else:
-        flat = T.reshape(out, (-1,))
+    flat = T.reshape(out, x.shape[:-3] + (-1,))
     return T.relu(T.fc(flat, params.fc.weight, params.fc.bias))
 
 

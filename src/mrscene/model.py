@@ -7,7 +7,7 @@ import numpy as np
 from . import tensor as T
 from .attention import attention_scores, pool_descriptors
 from .birnn import bidirectional_pass, make_lstm_params
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, UsageError
 from .head import classify, posteriors
 from .init import xavier_init
 from .kbranch import (
@@ -19,6 +19,7 @@ from .kbranch import (
     default_branch_specs,
     fuse_descriptors,
     make_branch_params,
+    tile,
 )
 from .tensor import Tensor
 
@@ -204,18 +205,6 @@ class Model:
     def n_parameters(self) -> int:
         return sum(p.size for p in self.parameters.values())
 
-    def _tile_batch(self, arr: np.ndarray, k: int) -> np.ndarray:
-        """(B, bands, H, W) -> (R*B, bands, ph, pw), patch-major so that rows
-        [r*B, (r+1)*B) hold patch r of every sample."""
-        g = self.config.grid
-        b, bands, h, w = arr.shape
-        ph, pw = h // g, w // g
-        return (
-            arr.reshape(b, bands, g, ph, g, pw)
-            .transpose(2, 4, 0, 1, 3, 5)
-            .reshape(g * g * b, bands, ph, pw)
-        )
-
     def forward(self, subset_arrays) -> ForwardResult:
         """Logits and attention for a batch.
 
@@ -232,7 +221,7 @@ class Model:
                 raise ShapeError(
                     f"subset {k} shape {arr.shape[1:]} != configured {tuple(cfg.subset_shapes[k])}"
                 )
-            tiles = Tensor(self._tile_batch(arr, k))
+            tiles = Tensor(tile(arr, cfg.grid))
             branch_outs.append(branch_forward(tiles, spec, params))  # (R*B, fc_out)
 
         descriptors = fuse_descriptors(branch_outs, self.fusion)  # (R*B, d_psi)
@@ -255,8 +244,10 @@ class Model:
 
     def predict_probabilities(self, samples, batch_size: int = 32) -> np.ndarray:
         """Posterior matrix (n_samples, C), computed in fixed-size batches."""
-        out = []
-        for start in range(0, len(samples), batch_size):
-            result = self.forward_samples(samples[start : start + batch_size])
-            out.append(result.probabilities.data)
-        return np.concatenate(out, axis=0)
+        if batch_size < 1:
+            raise UsageError(f"batch_size must be >= 1, got {batch_size}")
+        with T.no_grad():
+            return np.concatenate([
+                self.forward_samples(samples[start : start + batch_size]).probabilities.data
+                for start in range(0, len(samples), batch_size)
+            ], axis=0)

@@ -4,18 +4,34 @@ Every differentiable operation returns a new :class:`Tensor` that remembers
 its inputs and a closure computing the local vector-Jacobian product.
 Calling ``backward()`` on a scalar result walks the recorded graph in
 reverse topological order and accumulates gradients into every tensor
-created with ``requires_grad=True``.
+created with ``requires_grad=True``. Inside ``with no_grad():`` no graph
+is recorded, which is how evaluation runs the forward pass.
 
 Two float precisions are supported: float32 (training, evaluation) and
 float64 (gradient checking). The dtype of an operation's result follows
 numpy promotion of its inputs.
 """
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from .errors import ShapeError, UsageError
 
 _FLOAT_DTYPES = (np.float32, np.float64)
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Build no graph inside the block: results keep no parents or backward
+    closures, so each intermediate is freed as soon as nothing uses it."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 class Tensor:
@@ -36,6 +52,8 @@ class Tensor:
             arr = arr.astype(np.float32)
         self.data = arr
         self.grad = None
+        if not _grad_enabled:
+            requires_grad, _parents = False, ()
         self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
         self._parents = tuple(_parents)
         self._backward = _backward if self.requires_grad else None
@@ -59,10 +77,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        """A view of the same data outside the graph."""
-        return Tensor(self.data)
 
     def zero_grad(self):
         self.grad = None
@@ -222,39 +236,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def fc(x: Tensor, weight: Tensor, bias: Tensor = None) -> Tensor:
-    """Fully connected layer y = W x (+ b) with W of shape (out, in).
+    """Fully connected layer y = x W^T (+ b) with W of shape (out, in).
 
-    A 1-d input gives a 1-d output; a 2-d input is treated as a stack of
-    row vectors, one per sample.
+    Leading axes of x are a stack of row vectors, one per sample; a 1-d
+    input is a single row.
     """
     if weight.ndim != 2:
         raise ShapeError(f"fc weight must be a matrix, got {weight.shape}")
     if x.shape[-1] != weight.shape[1]:
         raise ShapeError(f"fc input width {x.shape} does not match weight {weight.shape}")
-    if x.ndim == 1:
-        out_data = weight.data @ x.data
-    elif x.ndim == 2:
-        out_data = x.data @ weight.data.T
-    else:
-        raise ShapeError(f"fc input must be 1-d or 2-d, got {x.shape}")
+    out_data = x.data @ weight.data.T
     if bias is not None:
         out_data = out_data + bias.data
 
     def _bw(g):
-        if x.ndim == 1:
-            if weight.requires_grad:
-                _accumulate(weight, np.outer(g, x.data))
-            if x.requires_grad:
-                _accumulate(x, weight.data.T @ g)
-            if bias is not None:
-                _accumulate(bias, g)
-        else:
-            if weight.requires_grad:
-                _accumulate(weight, g.T @ x.data)
-            if x.requires_grad:
-                _accumulate(x, g @ weight.data)
-            if bias is not None:
-                _accumulate(bias, g.sum(axis=0))
+        g2 = g.reshape(-1, weight.shape[0])
+        if weight.requires_grad:
+            _accumulate(weight, g2.T @ x.data.reshape(-1, weight.shape[1]))
+        if x.requires_grad:
+            _accumulate(x, (g2 @ weight.data).reshape(x.shape))
+        if bias is not None:
+            _accumulate(bias, g2.sum(axis=0))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return Tensor(out_data, _parents=parents, _backward=_bw, _op="fc")
@@ -282,17 +284,15 @@ def _im2col(xpad_t: np.ndarray, kh: int, kw: int, out_h: int, out_w: int) -> np.
 def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     """2-d cross-correlation with stride 1 and "same" zero padding.
 
-    x: (Cin, H, W) or batched (N, Cin, H, W); kernels: (Cout, Cin, kh, kw);
-    bias: (Cout,). Output spatial size equals input spatial size. Even
-    kernels pad one extra row/column on the top/left.
+    x: (N, Cin, H, W); kernels: (Cout, Cin, kh, kw); bias: (Cout,). Output
+    spatial size equals input spatial size. Even kernels pad one extra
+    row/column on the top/left.
     """
     if kernels.ndim != 4:
         raise ShapeError(f"conv2d kernels must be 4-d, got {kernels.shape}")
-    if x.ndim not in (3, 4):
-        raise ShapeError(f"conv2d input must be (Cin,H,W) or (N,Cin,H,W), got {x.shape}")
-    batched = x.ndim == 4
-    xd = x.data if batched else x.data[None]
-    n, cin, h, w = xd.shape
+    if x.ndim != 4:
+        raise ShapeError(f"conv2d input must be (N,Cin,H,W), got {x.shape}")
+    n, cin, h, w = x.shape
     cout, ck, kh, kw = kernels.shape
     if ck != cin:
         raise ShapeError(f"conv2d channels disagree: input {x.shape} vs kernels {kernels.shape}")
@@ -304,16 +304,14 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     pl, pr = _same_padding(kw)
     # channel-major copies let both passes run as single flat matmuls
     xpad_t = np.ascontiguousarray(
-        np.pad(xd, ((0, 0), (0, 0), (pt, pb), (pl, pr))).transpose(1, 0, 2, 3)
+        np.pad(x.data, ((0, 0), (0, 0), (pt, pb), (pl, pr))).transpose(1, 0, 2, 3)
     )
     cols = _im2col(xpad_t, kh, kw, h, w)  # (Cin*kh*kw, N*h*w)
     kmat = kernels.data.reshape(cout, cin * kh * kw)
-    out = (kmat @ cols + bias.data[:, None]).reshape(cout, n, h, w).transpose(1, 0, 2, 3)
-    out_data = out if batched else out[0]
+    out_data = (kmat @ cols + bias.data[:, None]).reshape(cout, n, h, w).transpose(1, 0, 2, 3)
 
     def _bw(g):
-        g4 = g if batched else g[None]
-        g2 = np.ascontiguousarray(g4.transpose(1, 0, 2, 3)).reshape(cout, n * h * w)
+        g2 = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(cout, n * h * w)
         _accumulate(bias, g2.sum(axis=1))
         if kernels.requires_grad:
             _accumulate(kernels, (g2 @ cols.T).reshape(cout, cin, kh, kw))
@@ -323,44 +321,40 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
             for i in range(kh):
                 for j in range(kw):
                     gxpad_t[:, :, i : i + h, j : j + w] += gcols[:, i, j]
-            gx = gxpad_t.transpose(1, 0, 2, 3)[:, :, pt : pt + h, pl : pl + w]
-            _accumulate(x, gx if batched else gx[0])
+            _accumulate(x, gxpad_t.transpose(1, 0, 2, 3)[:, :, pt : pt + h, pl : pl + w])
 
     return Tensor(out_data, _parents=(x, kernels, bias), _backward=_bw, _op="conv2d")
 
 
 def maxpool2(x: Tensor) -> Tensor:
-    """2x2 max pooling with stride 2; a trailing odd row/column is dropped.
+    """2x2 max pooling with stride 2 over (N, C, H, W); a trailing odd
+    row/column is dropped.
 
     The gradient flows to the first (row-major) maximum of each window.
     """
-    if x.ndim not in (3, 4):
-        raise ShapeError(f"maxpool2 input must be (C,H,W) or (N,C,H,W), got {x.shape}")
-    batched = x.ndim == 4
-    xd = x.data if batched else x.data[None]
-    n, c, h, w = xd.shape
+    if x.ndim != 4:
+        raise ShapeError(f"maxpool2 input must be (N,C,H,W), got {x.shape}")
+    n, c, h, w = x.shape
     if h < 2 or w < 2:
         raise ShapeError(f"maxpool2 needs spatial size >= 2, got {x.shape}")
     h2, w2 = h // 2, w // 2
     windows = (
-        xd[:, :, : 2 * h2, : 2 * w2]
+        x.data[:, :, : 2 * h2, : 2 * w2]
         .reshape(n, c, h2, 2, w2, 2)
         .transpose(0, 1, 2, 4, 3, 5)
         .reshape(n, c, h2, w2, 4)
     )
     idx = windows.argmax(axis=-1)
-    out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
-    out_data = out if batched else out[0]
+    out_data = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
 
     def _bw(g):
-        g4 = g if batched else g[None]
         gwin = np.zeros_like(windows)
-        np.put_along_axis(gwin, idx[..., None], g4[..., None], axis=-1)
-        gx = np.zeros_like(xd)
+        np.put_along_axis(gwin, idx[..., None], g[..., None], axis=-1)
+        gx = np.zeros_like(x.data)
         gx[:, :, : 2 * h2, : 2 * w2] = (
             gwin.reshape(n, c, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, 2 * h2, 2 * w2)
         )
-        _accumulate(x, gx if batched else gx[0])
+        _accumulate(x, gx)
 
     return Tensor(out_data, _parents=(x,), _backward=_bw, _op="maxpool2")
 
@@ -420,25 +414,6 @@ def softmax_rows(x: Tensor) -> Tensor:
         _accumulate(x, out_data * (g - dot))
 
     return Tensor(out_data, _parents=(x,), _backward=_bw, _op="softmax_rows")
-
-
-def log(x: Tensor) -> Tensor:
-    out_data = np.log(x.data)
-
-    def _bw(g):
-        _accumulate(x, g / x.data)
-
-    return Tensor(out_data, _parents=(x,), _backward=_bw, _op="log")
-
-
-def clip(x: Tensor, lo: float, hi: float) -> Tensor:
-    """Clamp to [lo, hi]; gradient passes only where x was inside the range."""
-    out_data = np.clip(x.data, lo, hi)
-
-    def _bw(g):
-        _accumulate(x, g * ((x.data >= lo) & (x.data <= hi)))
-
-    return Tensor(out_data, _parents=(x,), _backward=_bw, _op="clip")
 
 
 # ---------------------------------------------------------------------------

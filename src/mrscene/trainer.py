@@ -1,5 +1,6 @@
 """End-to-end training: optimizers, epoch loop, loss log, evaluation."""
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,8 +31,8 @@ class TrainConfig:
     shuffle: bool = True
 
     def validate(self):
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"learning_rate must be a finite number > 0, got {self.learning_rate}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:

@@ -56,6 +56,13 @@ class TestGenerateData:
                      "--n", "4", "--profile", "planetary"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("noise", ["-1", "nan", "inf"])
+    def test_bad_noise_exits_2(self, tmp_path, capsys, noise):
+        assert main(["generate-data", "--out", str(tmp_path / "d"), "--seed", "1",
+                     "--n", "4", "--noise", noise]) == 2
+        assert "noise" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
 
 class TestTrain:
     def test_writes_logs_and_echoes_config(self, workspace, capsys):
@@ -71,6 +78,14 @@ class TestTrain:
         assert main(["train", "--data", str(workspace["data"]), "--out", str(tmp_path / "o"),
                      "--epochs", "0"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_learning_rate_exits_2(self, workspace, tmp_path, capsys, lr):
+        out = tmp_path / "o"
+        assert main(["train", "--data", str(workspace["data"]), "--out", str(out),
+                     "--epochs", "1", "--lr", lr]) == 2
+        assert "learning_rate" in capsys.readouterr().err
+        assert not (out / "checkpoint-final.mac").exists()
 
     def test_config_file_with_mismatched_classes_exits_2(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -117,6 +132,12 @@ class TestEvaluatePredictAttn:
         for row in rows:
             total = sum(float(v) for v in row.split())
             assert abs(total - 1.0) < 1e-5
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict", "attn-dump"])
+    def test_zero_batch_size_exits_2(self, workspace, capsys, command):
+        assert main([command, "--data", str(workspace["data"]),
+                     "--checkpoint", str(workspace["checkpoint"]), "--batch-size", "0"]) == 2
+        assert "batch_size" in capsys.readouterr().err
 
     def test_checkpoint_dataset_mismatch_exits_2(self, workspace, tmp_path, capsys):
         other = tmp_path / "other"

@@ -165,6 +165,9 @@ class TestGenerator:
             generate_synthetic(tmp_path / "d", seed=0, n_samples=1, profile="huge")
         with pytest.raises(ConfigError):
             generate_synthetic(tmp_path / "d", seed=0, n_samples=1, profile="tiny", n_classes=99)
+        for noise in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(UsageError):
+                generate_synthetic(tmp_path / "d", seed=0, n_samples=1, noise=noise)
 
     def test_unknown_split(self, tmp_path):
         manifest = generate_synthetic(tmp_path / "d", seed=0, n_samples=2)

@@ -9,12 +9,12 @@ from mrscene.kbranch import (
     BranchSpec,
     ConvLayerSpec,
     FcParams,
-    assemble_patches,
     branch_forward,
     default_branch_specs,
     fuse_descriptors,
     make_branch_params,
     split_patches,
+    tile,
 )
 from mrscene import tensor as T
 from mrscene.tensor import Tensor
@@ -51,11 +51,21 @@ class TestSplitPatches:
         for r in range(16):
             assert np.all(patches.patch(r, 0) == r)
 
-    def test_assemble_is_bit_exact_inverse(self):
-        subsets = ben_shaped_subsets(np.random.default_rng(2))
-        back = assemble_patches(split_patches(subsets, 16))
-        for a, b in zip(subsets, back):
-            np.testing.assert_array_equal(a, b)
+    def test_patches_are_image_slices(self):
+        arr = np.arange(2 * 12 * 8, dtype=np.float32).reshape(2, 12, 8)
+        patches = split_patches([arr], 16)
+        for r in range(16):
+            i, j = divmod(r, 4)
+            np.testing.assert_array_equal(patches.patch(r, 0), arr[:, i * 3 : (i + 1) * 3, j * 2 : (j + 1) * 2])
+
+    def test_tile_is_patch_major(self):
+        batch = np.arange(3 * 2 * 8 * 8, dtype=np.float32).reshape(3, 2, 8, 8)
+        tiles = tile(batch, 4)
+        assert tiles.shape == (16 * 3, 2, 2, 2)
+        for b in range(3):
+            per_sample = split_patches([batch[b]], 16)
+            for r in range(16):
+                np.testing.assert_array_equal(tiles[r * 3 + b], per_sample.patch(r, 0))
 
     def test_non_square_patch_count_rejected(self):
         with pytest.raises(ConfigError):

@@ -1,12 +1,15 @@
 """Model assembly: config validation, forward wiring, batching consistency."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mrscene import tensor as T
 from mrscene.attention import attention_scores, pool_descriptors
 from mrscene.birnn import bidirectional_pass
-from mrscene.errors import ConfigError, ShapeError
+from mrscene.dataset import PROFILES, Sample
+from mrscene.errors import ConfigError, ShapeError, UsageError
 from mrscene.head import classify
 from mrscene.kbranch import BranchSpec, ConvLayerSpec, branch_forward, fuse_descriptors, split_patches
 from mrscene.model import Model, ModelConfig
@@ -158,3 +161,36 @@ class TestModelForward:
             model.fusion,
         )
         np.testing.assert_array_equal(direct.data, via_split.data)
+
+
+class TestPredictProbabilities:
+    @staticmethod
+    def tiny_model_and_samples(n):
+        shapes = PROFILES["tiny"].subset_shapes
+        model = Model(ModelConfig(n_classes=8, subset_shapes=shapes), seed=0)
+        rng = np.random.default_rng(0)
+        samples = [Sample([rng.normal(size=s).astype(np.float32) for s in shapes], np.ones(8), f"s{i}")
+                   for i in range(n)]
+        return model, samples
+
+    def test_batches_do_not_hold_earlier_graphs(self):
+        """Peak memory of four batches stays near that of one: each batch's
+        graph is freed before the next forward builds its own."""
+        model, samples = self.tiny_model_and_samples(32)
+        tracemalloc.start()
+        try:
+            one = model.predict_probabilities(samples[:8], batch_size=8)
+            _, peak_one = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            four = model.predict_probabilities(samples, batch_size=8)
+            _, peak_four = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert four.shape == (32, 8)
+        np.testing.assert_array_equal(four[:8], one)
+        assert peak_four <= 1.25 * peak_one
+
+    def test_rejects_batch_size_below_one(self):
+        model, samples = self.tiny_model_and_samples(2)
+        with pytest.raises(UsageError):
+            model.predict_probabilities(samples, batch_size=0)

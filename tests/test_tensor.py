@@ -59,16 +59,16 @@ class TestMatmul:
 
 class TestConv2d:
     def test_counting_ones_under_zero_padding(self):
-        x = T.Tensor(np.ones((1, 3, 3), np.float32))
+        x = T.Tensor(np.ones((1, 1, 3, 3), np.float32))
         k = T.Tensor(np.ones((1, 1, 3, 3), np.float32))
         b = T.Tensor(np.zeros(1, np.float32))
-        out = T.conv2d(x, k, b).data[0]
+        out = T.conv2d(x, k, b).data[0, 0]
         assert out[1, 1] == 9
         assert out[0, 1] == 6 and out[1, 0] == 6
         assert out[0, 0] == 4 and out[2, 2] == 4
 
     def test_1x1_identity_kernel(self):
-        x = T.Tensor(RNG(3).normal(size=(1, 5, 6)).astype(np.float32))
+        x = T.Tensor(RNG(3).normal(size=(2, 1, 5, 6)).astype(np.float32))
         k = T.Tensor(np.ones((1, 1, 1, 1), np.float32))
         b = T.Tensor(np.zeros(1, np.float32))
         np.testing.assert_array_equal(T.conv2d(x, k, b).data, x.data)
@@ -76,15 +76,15 @@ class TestConv2d:
     @pytest.mark.parametrize("kh,kw", [(3, 3), (5, 5), (2, 2)])
     def test_same_padding_preserves_spatial_size(self, kh, kw):
         rng = RNG(4)
-        x = T.Tensor(rng.normal(size=(2, 7, 9)))
+        x = T.Tensor(rng.normal(size=(4, 2, 7, 9)))
         k = T.Tensor(rng.normal(size=(3, 2, kh, kw)))
         b = T.Tensor(rng.normal(size=3))
-        assert T.conv2d(x, k, b).shape == (3, 7, 9)
+        assert T.conv2d(x, k, b).shape == (4, 3, 7, 9)
 
     def test_even_kernel_pads_top_left(self):
         # a 2x2 kernel that only reads its bottom-right tap reproduces the
         # input exactly when the extra padding sits on the top/left
-        x = T.Tensor(RNG(5).normal(size=(1, 4, 4)).astype(np.float32))
+        x = T.Tensor(RNG(5).normal(size=(2, 1, 4, 4)).astype(np.float32))
         k = np.zeros((1, 1, 2, 2), np.float32)
         k[0, 0, 1, 1] = 1.0
         out = T.conv2d(x, T.Tensor(k), T.Tensor(np.zeros(1, np.float32)))
@@ -92,14 +92,18 @@ class TestConv2d:
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
-            T.conv2d(T.Tensor(np.zeros((2, 4, 4))), T.Tensor(np.zeros((1, 3, 3, 3))), T.Tensor(np.zeros(1)))
+            T.conv2d(T.Tensor(np.zeros((1, 2, 4, 4))), T.Tensor(np.zeros((1, 3, 3, 3))), T.Tensor(np.zeros(1)))
+
+    def test_unbatched_input_rejected(self):
+        with pytest.raises(ShapeError, match=r"\(N,Cin,H,W\)"):
+            T.conv2d(T.Tensor(np.zeros((2, 4, 4))), T.Tensor(np.zeros((1, 2, 3, 3))), T.Tensor(np.zeros(1)))
 
     def test_gradcheck_random(self):
         rng = RNG(6)
-        x = T.Tensor(rng.normal(size=(2, 6, 6)), requires_grad=True)
+        x = T.Tensor(rng.normal(size=(2, 2, 6, 6)), requires_grad=True)
         k = T.Tensor(rng.normal(size=(3, 2, 3, 3)) * 0.5, requires_grad=True)
         b = T.Tensor(rng.normal(size=3), requires_grad=True)
-        w = T.Tensor(rng.normal(size=(3, 6, 6)))
+        w = T.Tensor(rng.normal(size=(2, 3, 6, 6)))
         fd_check(lambda: weighted_sum(T.conv2d(x, k, b), w), [x, k, b])
 
     def test_batched_matches_per_sample(self):
@@ -109,35 +113,39 @@ class TestConv2d:
         b = T.Tensor(rng.normal(size=3))
         batched = T.conv2d(T.Tensor(xs), k, b).data
         for i in range(4):
-            single = T.conv2d(T.Tensor(xs[i]), k, b).data
+            single = T.conv2d(T.Tensor(xs[i : i + 1]), k, b).data[0]
             # gemm accumulation order differs between batch shapes by ulps
             np.testing.assert_allclose(batched[i], single, rtol=1e-12, atol=1e-13)
 
 
 class TestMaxpool2:
     def test_single_window(self):
-        x = T.Tensor(np.array([[[1.0, 2.0], [3.0, 4.0]]], np.float32))
+        x = T.Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]], np.float32))
         out = T.maxpool2(x)
-        np.testing.assert_array_equal(out.data, [[[4.0]]])
+        np.testing.assert_array_equal(out.data, [[[[4.0]]]])
 
     def test_tie_gradient_goes_to_first_row_major(self):
-        x = T.Tensor(np.ones((1, 2, 2), np.float32), requires_grad=True)
+        x = T.Tensor(np.ones((1, 1, 2, 2), np.float32), requires_grad=True)
         loss = T.sum_all(T.maxpool2(x))
         loss.backward()
-        np.testing.assert_array_equal(x.grad, [[[1.0, 0.0], [0.0, 0.0]]])
+        np.testing.assert_array_equal(x.grad, [[[[1.0, 0.0], [0.0, 0.0]]]])
 
     def test_15x15_floors_to_7x7(self):
-        out = T.maxpool2(T.Tensor(np.zeros((4, 15, 15), np.float32)))
-        assert out.shape == (4, 7, 7)
+        out = T.maxpool2(T.Tensor(np.zeros((2, 4, 15, 15), np.float32)))
+        assert out.shape == (2, 4, 7, 7)
+
+    def test_unbatched_input_rejected(self):
+        with pytest.raises(ShapeError, match=r"\(N,C,H,W\)"):
+            T.maxpool2(T.Tensor(np.zeros((2, 4, 4))))
 
     def test_too_small_raises(self):
         with pytest.raises(ShapeError):
-            T.maxpool2(T.Tensor(np.zeros((1, 1, 5))))
+            T.maxpool2(T.Tensor(np.zeros((1, 1, 1, 5))))
 
     def test_gradcheck_random(self):
         rng = RNG(8)
-        x = T.Tensor(rng.normal(size=(2, 6, 7)), requires_grad=True)
-        w = T.Tensor(rng.normal(size=(2, 3, 3)))
+        x = T.Tensor(rng.normal(size=(2, 2, 6, 7)), requires_grad=True)
+        w = T.Tensor(rng.normal(size=(2, 2, 3, 3)))
         fd_check(lambda: weighted_sum(T.maxpool2(x), w), [x])
 
 
@@ -252,6 +260,17 @@ class TestBackwardSemantics:
         lb = T.sum_all(T.mul(T.tanh(xb), T.Tensor(w2)))
         lb.backward()
         np.testing.assert_allclose(shared_grad, xa.grad + xb.grad, rtol=1e-12)
+
+    def test_no_grad_records_no_graph(self):
+        w = T.Tensor(np.ones((2, 2)), requires_grad=True)
+        with pytest.raises(RuntimeError):
+            with T.no_grad():
+                out = T.tanh(w @ w)
+                raise RuntimeError("leaves the block early")
+        assert not out.requires_grad and out._parents == () and out._backward is None
+        np.testing.assert_array_equal(out.data, np.tanh(np.full((2, 2), 2.0)))
+        T.sum_all(T.tanh(w @ w)).backward()  # recording resumes after the block
+        assert w.grad is not None
 
     def test_backward_rejects_non_scalar(self):
         with pytest.raises(UsageError):

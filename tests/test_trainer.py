@@ -149,7 +149,8 @@ class TestTrainLoop:
 
     def test_invalid_configs_rejected(self):
         model, samples = tiny_model_and_samples(n=2)
-        for bad in (TrainConfig(learning_rate=0.0), TrainConfig(epochs=0),
+        for bad in (TrainConfig(learning_rate=0.0), TrainConfig(learning_rate=float("nan")),
+                    TrainConfig(learning_rate=float("inf")), TrainConfig(epochs=0),
                     TrainConfig(batch_size=0), TrainConfig(optimizer="lion"),
                     TrainConfig(threshold=1.0)):
             with pytest.raises(ConfigError):
