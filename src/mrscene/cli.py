@@ -89,6 +89,13 @@ def _resolve_configs(args, manifest: DatasetManifest):
     return model_cfg, train_cfg, echo
 
 
+def _load_samples(manifest: DatasetManifest, split: str, data_dir) -> list:
+    samples = load_split(manifest, split, data_dir)
+    if not samples:
+        raise UsageError(f"split {split!r} of {data_dir} holds no samples")
+    return samples
+
+
 def _format_echo(echo: dict) -> str:
     return "config: " + json.dumps(echo, sort_keys=True)
 
@@ -128,7 +135,7 @@ def cmd_train(args) -> int:
     manifest = _load_manifest(args.data)
     model_cfg, train_cfg, echo = _resolve_configs(args, manifest)
     print(_format_echo(echo))
-    train_samples = load_split(manifest, "train", args.data)
+    train_samples = _load_samples(manifest, "train", args.data)
     model = Model(model_cfg, seed=train_cfg.seed)
     result = train(model, train_samples, train_cfg, out_dir=args.out, run_config=echo)
     print(f"trained {train_cfg.epochs} epochs; final loss {result.loss_trajectory[-1]:.6f}")
@@ -146,7 +153,7 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     manifest = _load_manifest(args.data)
     model, data = _model_from_checkpoint(args.checkpoint, manifest)
-    samples = load_split(manifest, args.split, args.data)
+    samples = _load_samples(manifest, args.split, args.data)
     report = evaluate_model(model, samples, threshold=args.threshold, batch_size=args.batch_size)
     print(_format_echo(data.config))
     print(f"split: {args.split}  threshold: {args.threshold}")
@@ -158,7 +165,7 @@ def cmd_evaluate(args) -> int:
 def cmd_predict(args) -> int:
     manifest = _load_manifest(args.data)
     model, data = _model_from_checkpoint(args.checkpoint, manifest)
-    samples = load_split(manifest, args.split, args.data)
+    samples = _load_samples(manifest, args.split, args.data)
     probs = model.predict_probabilities(samples, args.batch_size)
     print(_format_echo(data.config))
     for i, sample in enumerate(samples):
@@ -173,7 +180,7 @@ def cmd_attn_dump(args) -> int:
         raise UsageError(f"batch_size must be >= 1, got {args.batch_size}")
     manifest = _load_manifest(args.data)
     model, data = _model_from_checkpoint(args.checkpoint, manifest)
-    samples = load_split(manifest, args.split, args.data)
+    samples = _load_samples(manifest, args.split, args.data)
     if args.limit:
         samples = samples[: args.limit]
     print(_format_echo(data.config))

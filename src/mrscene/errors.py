@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from numbers import Integral, Real
+
 
 class MrsceneError(Exception):
     """Base class for all package errors."""
@@ -11,6 +13,19 @@ class ShapeError(MrsceneError, ValueError):
 
 class ConfigError(MrsceneError, ValueError):
     """A configuration value is invalid or inconsistent with the data."""
+
+
+_KIND_NAMES = {Integral: "an integer", Real: "a number", bool: "true or false", str: "a string"}
+
+
+def require_types(section: str, config, kinds: dict):
+    """Raise ConfigError for the first field of ``config`` whose value is
+    not of its kind: Integral, Real, bool or str. A bool is neither an
+    Integral nor a Real here, so ``"epochs": true`` is refused."""
+    for name, kind in kinds.items():
+        value = getattr(config, name)
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+            raise ConfigError(f"{section}.{name} must be {_KIND_NAMES[kind]}, got {value!r}")
 
 
 class UsageError(MrsceneError, ValueError):

@@ -180,8 +180,15 @@ def check_module_gradients(seed: int = 0, step: float = DEFAULT_STEP) -> list:
     k = Tensor(rng.normal(size=(3, 2, 3, 3)) * 0.5, requires_grad=True)
     b = Tensor(rng.normal(size=3), requires_grad=True)
     wc = Tensor(rng.normal(size=(2, 3, 5, 5)))
+    # a map smaller than its kernel, where taps that only see padding are skipped
+    xs = Tensor(rng.normal(size=(2, 2, 1, 2)), requires_grad=True)
+    ks = Tensor(rng.normal(size=(3, 2, 3, 3)) * 0.5, requires_grad=True)
+    bs = Tensor(rng.normal(size=3), requires_grad=True)
+    ws = Tensor(rng.normal(size=(2, 3, 1, 2)))
     reports.append(check_parameters(
-        lambda: weighted(T.conv2d(x, k, b), wc), {"input": x, "kernels": k, "bias": b},
+        lambda: weighted(T.conv2d(x, k, b), wc) + weighted(T.conv2d(xs, ks, bs), ws),
+        {"input": x, "kernels": k, "bias": b,
+         "input (1x2 map)": xs, "kernels (1x2 map)": ks, "bias (1x2 map)": bs},
         step=step, label="conv2d"))
 
     xp = Tensor(rng.normal(size=(2, 2, 6, 6)), requires_grad=True)

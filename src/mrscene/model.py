@@ -1,13 +1,14 @@
 """Full network assembly and configuration."""
 
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
 from . import tensor as T
 from .attention import attention_scores, pool_descriptors
 from .birnn import bidirectional_pass, make_lstm_params
-from .errors import ConfigError, ShapeError, UsageError
+from .errors import ConfigError, ShapeError, UsageError, require_types
 from .head import classify, posteriors
 from .init import xavier_init
 from .kbranch import (
@@ -60,6 +61,11 @@ class ModelConfig:
         return (bands, h // self.grid, w // self.grid)
 
     def validate(self, strict_filters: bool = True):
+        require_types("model", self, {
+            "n_classes": Integral, "n_patches": Integral, "descriptor_width": Integral,
+            "hidden_width": Integral, "attention_heads": Integral, "attention_width": Integral,
+            "threshold": Real, "per_position_lstm": bool,
+        })
         g = self.grid
         if g * g != self.n_patches:
             raise ConfigError(f"n_patches must be a perfect square, got {self.n_patches}")

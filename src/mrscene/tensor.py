@@ -271,14 +271,14 @@ def _same_padding(k: int) -> tuple:
     return (k // 2, (k - 1) // 2)
 
 
-def _im2col(xpad_t: np.ndarray, kh: int, kw: int, out_h: int, out_w: int) -> np.ndarray:
-    """(C, N, Hp, Wp) -> (C*kh*kw, N*out_h*out_w) patch matrix."""
-    c, n = xpad_t.shape[:2]
-    cols = np.empty((c, kh, kw, n, out_h, out_w), dtype=xpad_t.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, i, j] = xpad_t[:, :, i : i + out_h, j : j + out_w]
-    return cols.reshape(c * kh * kw, n * out_h * out_w)
+def _live_taps(k: int, size: int) -> tuple:
+    """Kernel offsets [lo, hi) along one axis that reach the input for at
+    least one output position, and the "same" padding (before, after) that
+    these offsets need. An offset outside [lo, hi) only ever reads zero
+    padding, so dropping it changes no output."""
+    before, after = _same_padding(k)
+    lo, hi = max(0, before - size + 1), min(k, before + size)
+    return lo, hi, before - lo, after - (k - hi)
 
 
 def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
@@ -287,6 +287,12 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     x: (N, Cin, H, W); kernels: (Cout, Cin, kh, kw); bias: (Cout,). Output
     spatial size equals input spatial size. Even kernels pad one extra
     row/column on the top/left.
+
+    The batch axis runs innermost inside: the input is padded into a
+    (Cin, Hp, Wp, N) buffer, so each im2col tap copy and each col2im add
+    moves contiguous runs of W*N values, and the (Cout, H, W, N) product is
+    returned as an (N, Cout, H, W) view. Kernel rows and columns that only
+    ever see padding (a kernel larger than its map) are skipped.
     """
     if kernels.ndim != 4:
         raise ShapeError(f"conv2d kernels must be 4-d, got {kernels.shape}")
@@ -300,30 +306,43 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"conv2d bias must be ({cout},), got {bias.shape}")
     if kh < 1 or kw < 1 or h < 1 or w < 1:
         raise ShapeError(f"conv2d kernel {kernels.shape} does not fit padded input {x.shape}")
-    pt, pb = _same_padding(kh)
-    pl, pr = _same_padding(kw)
-    # channel-major copies let both passes run as single flat matmuls
-    xpad_t = np.ascontiguousarray(
-        np.pad(x.data, ((0, 0), (0, 0), (pt, pb), (pl, pr))).transpose(1, 0, 2, 3)
-    )
-    cols = _im2col(xpad_t, kh, kw, h, w)  # (Cin*kh*kw, N*h*w)
-    kmat = kernels.data.reshape(cout, cin * kh * kw)
-    out_data = (kmat @ cols + bias.data[:, None]).reshape(cout, n, h, w).transpose(1, 0, 2, 3)
+    i0, i1, pt, pb = _live_taps(kh, h)
+    j0, j1, pl, pr = _live_taps(kw, w)
+    th, tw = i1 - i0, j1 - j0
+    padded = (cin, h + pt + pb, w + pl + pr, n)
+    xpad = np.zeros(padded, dtype=x.dtype)
+    xpad[:, pt : pt + h, pl : pl + w] = x.data.transpose(1, 2, 3, 0)
+    cols = np.empty((cin, th, tw, h, w, n), dtype=x.dtype)
+    for i in range(th):
+        for j in range(tw):
+            cols[:, i, j] = xpad[:, i : i + h, j : j + w]
+    cols = cols.reshape(cin * th * tw, h * w * n)
+    kmat = kernels.data[:, :, i0:i1, j0:j1].reshape(cout, cin * th * tw)
+    out = kmat @ cols
+    out += bias.data[:, None]
+    out_data = out.reshape(cout, h, w, n).transpose(3, 0, 1, 2)
 
     def _bw(g):
-        g2 = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(cout, n * h * w)
+        g2 = np.ascontiguousarray(g.transpose(1, 2, 3, 0)).reshape(cout, h * w * n)
         _accumulate(bias, g2.sum(axis=1))
         if kernels.requires_grad:
-            _accumulate(kernels, (g2 @ cols.T).reshape(cout, cin, kh, kw))
+            gk = np.zeros_like(kernels.data)
+            gk[:, :, i0:i1, j0:j1] = (g2 @ cols.T).reshape(cout, cin, th, tw)
+            _accumulate(kernels, gk)
         if x.requires_grad:
-            gcols = (kmat.T @ g2).reshape(cin, kh, kw, n, h, w)
-            gxpad_t = np.zeros_like(xpad_t)
-            for i in range(kh):
-                for j in range(kw):
-                    gxpad_t[:, :, i : i + h, j : j + w] += gcols[:, i, j]
-            _accumulate(x, gxpad_t.transpose(1, 0, 2, 3)[:, :, pt : pt + h, pl : pl + w])
+            gcols = (kmat.T @ g2).reshape(cin, th, tw, h, w, n)
+            gxpad = np.zeros(padded, dtype=x.dtype)
+            for i in range(th):
+                for j in range(tw):
+                    gxpad[:, i : i + h, j : j + w] += gcols[:, i, j]
+            _accumulate(x, gxpad[:, pt : pt + h, pl : pl + w].transpose(3, 0, 1, 2))
 
     return Tensor(out_data, _parents=(x, kernels, bias), _backward=_bw, _op="conv2d")
+
+
+def _quadrants(a: np.ndarray, h2: int, w2: int) -> list:
+    """The four stride-2 views of a's 2x2 windows, in row-major tap order."""
+    return [a[:, :, i : 2 * h2 : 2, j : 2 * w2 : 2] for i in (0, 1) for j in (0, 1)]
 
 
 def maxpool2(x: Tensor) -> Tensor:
@@ -334,26 +353,21 @@ def maxpool2(x: Tensor) -> Tensor:
     """
     if x.ndim != 4:
         raise ShapeError(f"maxpool2 input must be (N,C,H,W), got {x.shape}")
-    n, c, h, w = x.shape
+    h, w = x.shape[2:]
     if h < 2 or w < 2:
         raise ShapeError(f"maxpool2 needs spatial size >= 2, got {x.shape}")
     h2, w2 = h // 2, w // 2
-    windows = (
-        x.data[:, :, : 2 * h2, : 2 * w2]
-        .reshape(n, c, h2, 2, w2, 2)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(n, c, h2, w2, 4)
-    )
-    idx = windows.argmax(axis=-1)
-    out_data = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+    q00, q01, q10, q11 = _quadrants(x.data, h2, w2)
+    out_data = np.maximum(np.maximum(q00, q01), np.maximum(q10, q11))
 
     def _bw(g):
-        gwin = np.zeros_like(windows)
-        np.put_along_axis(gwin, idx[..., None], g[..., None], axis=-1)
         gx = np.zeros_like(x.data)
-        gx[:, :, : 2 * h2, : 2 * w2] = (
-            gwin.reshape(n, c, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, 2 * h2, 2 * w2)
-        )
+        free = np.ones_like(out_data, dtype=bool)  # windows whose max is not yet routed
+        for q, gq in zip(_quadrants(x.data, h2, w2), _quadrants(gx, h2, w2)):
+            hit = np.equal(q, out_data)
+            hit &= free
+            np.multiply(g, hit, out=gq)
+            free ^= hit
         _accumulate(x, gx)
 
     return Tensor(out_data, _parents=(x,), _backward=_bw, _op="maxpool2")

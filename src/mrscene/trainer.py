@@ -2,12 +2,13 @@
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
 
 from .checkpoint import write_checkpoint
-from .errors import ConfigError, TrainingDivergedError
+from .errors import ConfigError, TrainingDivergedError, require_types
 from .head import bce_with_logits_loss, predict
 from .init import xavier_init  # re-exported: initialization belongs to training
 from .metrics import MetricsReport, aggregate
@@ -31,6 +32,10 @@ class TrainConfig:
     shuffle: bool = True
 
     def validate(self):
+        require_types("train", self, {
+            "learning_rate": Real, "epochs": Integral, "batch_size": Integral, "optimizer": str,
+            "seed": Integral, "checkpoint_every": Integral, "threshold": Real, "shuffle": bool,
+        })
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError(f"learning_rate must be a finite number > 0, got {self.learning_rate}")
         if self.epochs < 1:

@@ -94,6 +94,22 @@ class TestTrain:
                      "--config", str(cfg), "--epochs", "1"]) == 2
         assert "n_classes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payload,field", [
+        ({"train": {"learning_rate": "0.1"}}, "learning_rate"),
+        ({"train": {"epochs": "2"}}, "epochs"),
+        ({"train": {"batch_size": 2.5}}, "batch_size"),
+        ({"train": {"epochs": True}}, "epochs"),
+        ({"model": {"hidden_width": "8"}}, "hidden_width"),
+    ])
+    def test_config_file_field_of_wrong_type_exits_2(self, workspace, tmp_path, capsys, payload, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        out = tmp_path / "o"
+        assert main(["train", "--data", str(workspace["data"]), "--out", str(out),
+                     "--config", str(cfg)]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
     def test_default_learning_rate_echoed_in_checkpoint(self, workspace):
         from mrscene.checkpoint import read_checkpoint
 
@@ -138,6 +154,15 @@ class TestEvaluatePredictAttn:
         assert main([command, "--data", str(workspace["data"]),
                      "--checkpoint", str(workspace["checkpoint"]), "--batch-size", "0"]) == 2
         assert "batch_size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict", "attn-dump"])
+    def test_empty_split_exits_2(self, workspace, tmp_path, capsys, command):
+        only_train = tmp_path / "only_train"
+        assert main(["generate-data", "--out", str(only_train), "--seed", "3", "--n", "4",
+                     "--profile", "tiny", "--classes", "4", "--split", "1,0,0"]) == 0
+        assert main([command, "--data", str(only_train), "--checkpoint", str(workspace["checkpoint"]),
+                     "--split", "test"]) == 2
+        assert "'test'" in capsys.readouterr().err
 
     def test_checkpoint_dataset_mismatch_exits_2(self, workspace, tmp_path, capsys):
         other = tmp_path / "other"

@@ -1,6 +1,8 @@
 """Model assembly: config validation, forward wiring, batching consistency."""
 
+import importlib.util
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +33,15 @@ def small_config(per_position=False) -> ModelConfig:
         attention_width=4,
         per_position_lstm=per_position,
     )
+
+
+def load_bench_reference():
+    """bench/reference.py: a float64 forward written apart from mrscene.tensor."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("bench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestModelConfig:
@@ -194,3 +205,24 @@ class TestPredictProbabilities:
         model, samples = self.tiny_model_and_samples(2)
         with pytest.raises(UsageError):
             model.predict_probabilities(samples, batch_size=0)
+
+
+class TestIndependentReference:
+    @pytest.mark.parametrize("profile", ["tiny", "bigearthnet-shaped"])
+    def test_float64_forward_matches_reference(self, profile):
+        """On tiny patches 9 of the 12 convs run kernels wider than their
+        1x1 maps; the BigEarthNet-shaped ones do not."""
+        reference = load_bench_reference()
+        prof = PROFILES[profile]
+        model = Model(ModelConfig(n_classes=prof.default_classes, subset_shapes=prof.subset_shapes),
+                      seed=1, dtype=np.float64)
+        rng = np.random.default_rng(2)
+        for p in model.parameters.values():
+            if p.ndim == 1:  # the biases, zero at initialisation
+                p.data[:] = 0.1 * rng.standard_normal(p.shape)
+        subsets = [rng.normal(size=s) for s in prof.subset_shapes]
+        with T.no_grad():
+            logits = model.forward([s[None] for s in subsets]).scores.data[0]
+        params = {name: p.data for name, p in model.parameters.items()}
+        np.testing.assert_allclose(logits, reference.forward_one(subsets, params, model.config),
+                                   rtol=0, atol=1e-9)

@@ -28,6 +28,39 @@ def weighted_sum(out, weights):
     return T.sum_all(T.mul(out, weights))
 
 
+def naive_conv(x, k, b):
+    """Float64 sliding-window "same" cross-correlation, one output pixel
+    and one tap at a time; even kernels pad the extra row/column top/left."""
+    n, cin, h, w = x.shape
+    cout, _, kh, kw = k.shape
+    out = np.zeros((n, cout, h, w)) + b[None, :, None, None]
+    for y in range(h):
+        for xx in range(w):
+            for i in range(kh):
+                for j in range(kw):
+                    r, c = y + i - kh // 2, xx + j - kw // 2
+                    if 0 <= r < h and 0 <= c < w:
+                        out[:, :, y, xx] += x[:, :, r, c] @ k[:, :, i, j].T
+    return out
+
+
+def batch_innermost(a):
+    """The same NCHW values backed by (C, H, W, N) memory."""
+    return np.ascontiguousarray(a.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+
+
+def first_max_mask(x):
+    """1 at the row-major first maximum of every 2x2 window, by argmax."""
+    n, c, h, w = x.shape
+    h2, w2 = h // 2, w // 2
+    win = x[:, :, : 2 * h2, : 2 * w2].reshape(n, c, h2, 2, w2, 2).transpose(0, 1, 2, 4, 3, 5)
+    idx = win.reshape(n, c, h2, w2, 4).argmax(axis=-1)
+    mask = np.zeros(x.shape)
+    for t in range(4):
+        mask[:, :, t // 2 : 2 * h2 : 2, t % 2 : 2 * w2 : 2] = idx == t
+    return mask
+
+
 class TestMatmul:
     def test_identity(self):
         b = T.Tensor(RNG(0).normal(size=(3, 4)))
@@ -117,6 +150,34 @@ class TestConv2d:
             # gemm accumulation order differs between batch shapes by ulps
             np.testing.assert_allclose(batched[i], single, rtol=1e-12, atol=1e-13)
 
+    @pytest.mark.parametrize("kh,kw,h,w", [(2, 2, 1, 1), (3, 3, 1, 1), (5, 5, 2, 3), (4, 2, 1, 4)])
+    def test_kernel_larger_than_map_matches_sliding_window(self, kh, kw, h, w):
+        rng = RNG(9)
+        x = T.Tensor(rng.normal(size=(3, 2, h, w)), requires_grad=True)
+        k = T.Tensor(rng.normal(size=(4, 2, kh, kw)), requires_grad=True)
+        b = T.Tensor(rng.normal(size=4), requires_grad=True)
+        np.testing.assert_allclose(T.conv2d(x, k, b).data, naive_conv(x.data, k.data, b.data),
+                                   rtol=1e-12, atol=1e-12)
+        w_out = T.Tensor(rng.normal(size=(3, 4, h, w)))
+        fd_check(lambda: weighted_sum(T.conv2d(x, k, b), w_out), [x, k, b])
+
+    def test_input_memory_layout_does_not_change_results(self):
+        rng = RNG(10)
+        data = rng.normal(size=(3, 2, 5, 4)).astype(np.float32)
+        k0 = rng.normal(size=(4, 2, 3, 3)).astype(np.float32)
+        b0 = rng.normal(size=4).astype(np.float32)
+        w_out = T.Tensor(rng.normal(size=(3, 4, 5, 4)).astype(np.float32))
+        results = []
+        for arr in (data, batch_innermost(data), np.asfortranarray(data)):
+            x, k, b = (T.Tensor(a, requires_grad=True) for a in (arr, k0, b0))
+            out = T.conv2d(x, k, b)
+            weighted_sum(out, w_out).backward()
+            results.append((out.data, x.grad, k.grad, b.grad))
+        assert not results[1][0].flags.c_contiguous  # the output is a view
+        for other in results[1:]:
+            for got, want in zip(other, results[0]):
+                np.testing.assert_array_equal(got, want)
+
 
 class TestMaxpool2:
     def test_single_window(self):
@@ -147,6 +208,32 @@ class TestMaxpool2:
         x = T.Tensor(rng.normal(size=(2, 2, 6, 7)), requires_grad=True)
         w = T.Tensor(rng.normal(size=(2, 2, 3, 3)))
         fd_check(lambda: weighted_sum(T.maxpool2(x), w), [x])
+
+    def test_all_15_tie_patterns_route_to_first_row_major_max(self):
+        # window p has its maxima (1.0) at the taps whose bit is set in p+1
+        patterns = np.array([[(p >> t) & 1 for t in range(4)] for p in range(1, 16)], np.float32)
+        x = T.Tensor(patterns.reshape(15, 1, 2, 2), requires_grad=True)
+        g = np.arange(1, 16, dtype=np.float32).reshape(15, 1, 1, 1)
+        out = T.maxpool2(x)
+        T.sum_all(T.mul(out, T.Tensor(g))).backward()
+        np.testing.assert_array_equal(out.data, np.ones((15, 1, 1, 1)))
+        first = np.zeros((15, 4), np.float32)
+        first[np.arange(15), patterns.argmax(axis=1)] = 1
+        np.testing.assert_array_equal(x.grad, first.reshape(15, 1, 2, 2) * g)
+
+    def test_non_contiguous_input_with_ties(self):
+        rng = RNG(11)
+        # few distinct levels, so many windows hold ties
+        data = batch_innermost(rng.integers(0, 3, size=(2, 3, 7, 6)).astype(np.float64))
+        assert not data.flags.c_contiguous
+        x = T.Tensor(data, requires_grad=True)
+        g = rng.normal(size=(2, 3, 3, 3))
+        out = T.maxpool2(x)
+        T.sum_all(T.mul(out, T.Tensor(g))).backward()
+        np.testing.assert_array_equal(out.data, data[:, :, :6, :6].reshape(2, 3, 3, 2, 3, 2).max(axis=(3, 5)))
+        upsampled = np.zeros(data.shape)
+        upsampled[:, :, :6, :6] = g.repeat(2, axis=2).repeat(2, axis=3)
+        np.testing.assert_array_equal(x.grad, first_max_mask(data) * upsampled)
 
 
 class TestActivations:
