@@ -12,13 +12,14 @@ bit-exactly at 32-bit.
 """
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import BadMagicError, ConfigError, FormatError, TruncatedFileError
+from .errors import BadMagicError, ConfigError, FormatError, TruncatedFileError, json_object
 
 MAGIC = b"MAC1"
 FORMAT_VERSION = 1
@@ -68,10 +69,13 @@ def _read_entries(reader: _Reader, what: str) -> dict:
     entries = {}
     for _ in range(count):
         (name_len,) = reader.unpack("<H", f"{what} name length")
-        name = bytes(reader.take(name_len, f"{what} name")).decode("utf-8")
+        try:
+            name = bytes(reader.take(name_len, f"{what} name")).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{reader.path}: {what} name is not UTF-8") from exc
         (rank,) = reader.unpack("<B", f"{what} rank")
-        dims = tuple(reader.unpack(f"<{rank}I", f"{what} dims")) if rank else ()
-        n_values = int(np.prod(dims, dtype=np.int64)) if dims else 1
+        dims = reader.unpack(f"<{rank}I", f"{what} dims")
+        n_values = math.prod(dims)  # Python ints: a huge product cannot wrap around
         raw = reader.take(n_values * 4, f"{what} values of {name!r}")
         entries[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
     return entries
@@ -101,7 +105,7 @@ def read_checkpoint(path) -> CheckpointData:
     opt_state = _read_entries(reader, "optimizer state")
     (epoch,) = reader.unpack("<I", "epoch")
     (config_len,) = reader.unpack("<I", "config echo length")
-    config = json.loads(bytes(reader.take(config_len, "config echo")).decode("utf-8"))
+    config = json_object(bytes(reader.take(config_len, "config echo")), f"{path}: config echo")
     if len(reader.view) != 0:
         raise FormatError(f"{path}: trailing bytes after config echo")
     return CheckpointData(params=params, optimizer_state=opt_state, epoch=epoch, config=config)

@@ -8,6 +8,7 @@ Every report embeds the resolved run configuration for reproducibility.
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +16,8 @@ import numpy as np
 from . import gradcheck as gradcheck_mod
 from .checkpoint import load_parameters, read_checkpoint
 from .dataset import DatasetManifest, generate_synthetic, load_split
-from .errors import ConfigError, FormatError, MrsceneError, UsageError
+from .errors import ConfigError, FormatError, MrsceneError, UsageError, json_object
 from .head import predict
-from .metrics import aggregate
 from .model import Model, ModelConfig
 from .tensor import no_grad
 from .trainer import TrainConfig, evaluate_model, train
@@ -37,13 +37,12 @@ def _load_file_config(path) -> dict:
     if path is None:
         return {}
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = json_object(Path(path).read_bytes(), f"config file {path}", ConfigError)
     except FileNotFoundError as exc:
         raise UsageError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
+    for section, value in payload.items():
+        if section not in ("model", "train") or not isinstance(value, dict):
+            raise ConfigError(f"config file {path}: {section!r} is not a 'model' or 'train' object")
     return payload
 
 
@@ -56,32 +55,24 @@ def _load_manifest(data_dir) -> DatasetManifest:
 
 def _resolve_configs(args, manifest: DatasetManifest):
     """Merge defaults, config file, and flags (flags win)."""
-    file_cfg = _load_file_config(getattr(args, "config", None))
-    model_payload = dict(file_cfg.get("model", {}))
-    train_payload = dict(file_cfg.get("train", {}))
+    file_cfg = _load_file_config(args.config)
+    model_payload = file_cfg.get("model", {})
+    train_payload = file_cfg.get("train", {})
 
     for field, value in (("subset_shapes", [list(s) for s in manifest.subset_shapes]),
                          ("n_classes", manifest.n_classes)):
-        if field in model_payload and model_payload[field] != value:
+        if model_payload.setdefault(field, value) != value:
             raise ConfigError(
                 f"config field model.{field} = {model_payload[field]} "
                 f"does not match dataset manifest value {value}"
             )
-        model_payload[field] = value
 
-    flag_map = {
-        "lr": "learning_rate", "epochs": "epochs", "batch_size": "batch_size",
-        "optimizer": "optimizer", "seed": "seed", "threshold": "threshold",
-        "checkpoint_every": "checkpoint_every",
-    }
-    for flag, key in flag_map.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            train_payload[key] = value
+    flags = {f.name: getattr(args, f.name, None) for f in fields(TrainConfig)}  # flag dests are field names
+    train_payload.update({name: value for name, value in flags.items() if value is not None})
+    if args.threshold is not None:
+        model_payload["threshold"] = args.threshold
 
     model_cfg = ModelConfig.from_dict(model_payload)
-    if "threshold" in train_payload:
-        model_cfg.threshold = train_payload["threshold"]
     model_cfg.validate()
     train_cfg = TrainConfig.from_dict(train_payload)
     train_cfg.validate()
@@ -105,6 +96,7 @@ def _model_from_checkpoint(checkpoint_path, manifest: DatasetManifest):
     if "model" not in data.config:
         raise ConfigError(f"{checkpoint_path}: checkpoint carries no model config echo")
     model_cfg = ModelConfig.from_dict(data.config["model"])
+    model_cfg.validate(strict_filters=False)
     stored_shapes = [tuple(s) for s in model_cfg.subset_shapes]
     manifest_shapes = [tuple(s) for s in manifest.subset_shapes]
     if stored_shapes != manifest_shapes:
@@ -154,9 +146,10 @@ def cmd_evaluate(args) -> int:
     manifest = _load_manifest(args.data)
     model, data = _model_from_checkpoint(args.checkpoint, manifest)
     samples = _load_samples(manifest, args.split, args.data)
-    report = evaluate_model(model, samples, threshold=args.threshold, batch_size=args.batch_size)
+    threshold = model.config.threshold if args.threshold is None else args.threshold
+    report = evaluate_model(model, samples, threshold=threshold, batch_size=args.batch_size)
     print(_format_echo(data.config))
-    print(f"split: {args.split}  threshold: {args.threshold}")
+    print(f"split: {args.split}  threshold: {threshold}")
     print(report.format())
     print(report.key_value_block())
     return 0
@@ -166,10 +159,11 @@ def cmd_predict(args) -> int:
     manifest = _load_manifest(args.data)
     model, data = _model_from_checkpoint(args.checkpoint, manifest)
     samples = _load_samples(manifest, args.split, args.data)
+    threshold = model.config.threshold if args.threshold is None else args.threshold
     probs = model.predict_probabilities(samples, args.batch_size)
     print(_format_echo(data.config))
     for i, sample in enumerate(samples):
-        chosen = predict(probs[i], args.threshold)
+        chosen = predict(probs[i], threshold)
         names = [manifest.class_names[j] for j in np.flatnonzero(chosen)]
         print(f"{sample.id}\t{', '.join(names) if names else '<none>'}")
     return 0
@@ -227,10 +221,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="JSON run configuration file")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
+    p.add_argument("--lr", dest="learning_rate", type=float, default=None)
     p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
     p.add_argument("--optimizer", choices=("adam", "sgd"), default=None)
-    p.add_argument("--threshold", type=float, default=None)
+    p.add_argument("--threshold", type=float, default=None, help="decision threshold, stored in the model")
     p.add_argument("--checkpoint-every", dest="checkpoint_every", type=int, default=None)
     p.set_defaults(func=cmd_train)
 
@@ -243,10 +237,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--data", required=True)
         p.add_argument("--checkpoint", required=True)
         p.add_argument("--split", default="test")
-        p.add_argument("--threshold", type=float, default=0.5)
         p.add_argument("--batch-size", dest="batch_size", type=int, default=32)
         if name == "attn-dump":
             p.add_argument("--limit", type=int, default=0, help="dump at most this many samples")
+        else:
+            p.add_argument("--threshold", type=float, default=None,
+                           help="decision threshold (default: the checkpoint's)")
         p.set_defaults(func=func)
 
     p = sub.add_parser("gradcheck", help="finite-difference verification of all gradients")

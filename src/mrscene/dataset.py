@@ -17,7 +17,7 @@ noise. Identical (seed, parameters) produce byte-identical output.
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,8 @@ from .errors import (
     ManifestMismatchError,
     TruncatedFileError,
     UsageError,
+    json_object,
+    shape_triples,
 )
 
 MAGIC = b"MRS1"
@@ -90,15 +92,12 @@ class DatasetManifest:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     @classmethod
-    def from_json(cls, text: str) -> "DatasetManifest":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"manifest is not valid JSON: {exc}") from exc
+    def from_json(cls, raw) -> "DatasetManifest":
+        payload = json_object(raw, "manifest")
         try:
             return cls(
                 n_subsets=payload["n_subsets"],
-                subset_shapes=[tuple(s) for s in payload["subset_shapes"]],
+                subset_shapes=shape_triples(payload["subset_shapes"]),
                 n_classes=payload["n_classes"],
                 class_names=payload["class_names"],
                 splits=payload["splits"],
@@ -108,13 +107,15 @@ class DatasetManifest:
             )
         except KeyError as exc:
             raise FormatError(f"manifest missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"manifest field subset_shapes is malformed: {exc}") from exc
 
     def save(self, path):
         Path(path).write_text(self.to_json(), encoding="utf-8")
 
     @classmethod
     def load(cls, path) -> "DatasetManifest":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        return cls.from_json(Path(path).read_bytes())
 
 
 def write_sample(path, sample: Sample):
@@ -244,6 +245,8 @@ def generate_synthetic(
     """Write a synthetic dataset (samples + manifest.json) under out_dir."""
     if n_samples < 1:
         raise UsageError(f"n_samples must be >= 1, got {n_samples}")
+    if seed < 0:
+        raise UsageError(f"seed must be >= 0, got {seed}")
     if not (math.isfinite(noise) and noise >= 0):
         raise UsageError(f"noise must be a finite number >= 0, got {noise}")
     if profile not in PROFILES:

@@ -1,5 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks of outside
+input that raise them."""
 
+import json
+from dataclasses import MISSING, fields
 from numbers import Integral, Real
 
 
@@ -13,19 +16,6 @@ class ShapeError(MrsceneError, ValueError):
 
 class ConfigError(MrsceneError, ValueError):
     """A configuration value is invalid or inconsistent with the data."""
-
-
-_KIND_NAMES = {Integral: "an integer", Real: "a number", bool: "true or false", str: "a string"}
-
-
-def require_types(section: str, config, kinds: dict):
-    """Raise ConfigError for the first field of ``config`` whose value is
-    not of its kind: Integral, Real, bool or str. A bool is neither an
-    Integral nor a Real here, so ``"epochs": true`` is refused."""
-    for name, kind in kinds.items():
-        value = getattr(config, name)
-        if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
-            raise ConfigError(f"{section}.{name} must be {_KIND_NAMES[kind]}, got {value!r}")
 
 
 class UsageError(MrsceneError, ValueError):
@@ -50,3 +40,66 @@ class ManifestMismatchError(FormatError):
 
 class TrainingDivergedError(MrsceneError, RuntimeError):
     """Training produced a non-finite loss."""
+
+
+def json_object(raw, what: str, error=FormatError) -> dict:
+    """The JSON object held by ``raw`` (UTF-8 bytes or text); ``error``
+    for bad UTF-8, bad or too deeply nested JSON, or a non-object."""
+    try:
+        payload = json.loads(raw.decode("utf-8") if isinstance(raw, bytes) else raw)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{what} is not valid UTF-8 JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise error(f"{what} must hold a JSON object")
+    return payload
+
+
+def config_kwargs(section: str, cls, payload, decoders: dict = None) -> dict:
+    """Constructor keyword arguments for the dataclass ``cls`` from a JSON
+    object. ``decoders`` turns the JSON form of a field into its value.
+    ConfigError for a non-object, an unknown or missing key, or a value
+    its decoder cannot read."""
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{section} must be a JSON object, got {payload!r}")
+    declared = fields(cls)
+    unknown = sorted(set(payload) - {f.name for f in declared})
+    missing = [f.name for f in declared
+               if f.name not in payload and f.default is MISSING and f.default_factory is MISSING]
+    if unknown:
+        raise ConfigError(f"{section} has unknown fields {unknown}")
+    if missing:
+        raise ConfigError(f"{section} lacks fields {missing}")
+    kwargs = dict(payload)
+    for name, decode in (decoders or {}).items():
+        if name in kwargs:
+            try:
+                kwargs[name] = decode(kwargs[name])
+            except (TypeError, ValueError, KeyError) as exc:
+                raise ConfigError(f"{section}.{name} is malformed: {exc!r}") from exc
+    return kwargs
+
+
+def shape_triples(shapes) -> list:
+    """[(bands, H, W), ...] from a list of three-integer lists; ValueError
+    or TypeError for anything else."""
+    triples = [(bands, h, w) for bands, h, w in shapes]
+    if not all(isinstance(v, Integral) and v > 0 for triple in triples for v in triple):
+        raise ValueError(f"shapes must be positive integer triples, got {shapes!r}")
+    return triples
+
+
+_KINDS = {int: (Integral, "an integer"), float: (Real, "a number"),
+          bool: (bool, "true or false"), str: (str, "a string")}
+
+
+def require_types(section: str, config):
+    """Raise ConfigError for the first scalar field of the dataclass
+    ``config`` whose value does not fit its annotation: an int field takes
+    any Integral, a float field any Real. A bool is neither, so
+    ``"epochs": true`` is refused. Fields of other types are not checked."""
+    for f in fields(config):
+        if f.type in _KINDS:
+            kind, what = _KINDS[f.type]
+            value = getattr(config, f.name)
+            if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+                raise ConfigError(f"{section}.{f.name} must be {what}, got {value!r}")

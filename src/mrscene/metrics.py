@@ -10,7 +10,7 @@ arithmetic means. Conventions for degenerate sets:
 * F-beta with P = R = 0: 0
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +46,6 @@ class MetricsReport:
     f1: float
     f2: float
     n_samples: int
-    per_sample: list = field(default_factory=list, repr=False)
 
     def format(self) -> str:
         return (
@@ -65,7 +64,7 @@ class MetricsReport:
         )
 
 
-def aggregate(label_pairs, keep_per_sample: bool = False) -> MetricsReport:
+def aggregate(label_pairs) -> MetricsReport:
     """Mean example-based metrics over (y_true, y_pred) pairs."""
     per_sample = [example_metrics(yt, yp) for yt, yp in label_pairs]
     if not per_sample:
@@ -81,5 +80,4 @@ def aggregate(label_pairs, keep_per_sample: bool = False) -> MetricsReport:
         f1=mean_of(2),
         f2=mean_of(3),
         n_samples=len(per_sample),
-        per_sample=per_sample if keep_per_sample else [],
     )

@@ -1,14 +1,14 @@
 """Full network assembly and configuration."""
 
-from dataclasses import dataclass, field
-from numbers import Integral, Real
+import math
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .attention import attention_scores, pool_descriptors
 from .birnn import bidirectional_pass, make_lstm_params
-from .errors import ConfigError, ShapeError, UsageError, require_types
+from .errors import ConfigError, ShapeError, UsageError, config_kwargs, require_types, shape_triples
 from .head import classify, posteriors
 from .init import xavier_init
 from .kbranch import (
@@ -50,7 +50,7 @@ class ModelConfig:
 
     @property
     def grid(self) -> int:
-        return int(round(np.sqrt(self.n_patches)))
+        return math.isqrt(self.n_patches)
 
     @property
     def sequence_width(self) -> int:
@@ -61,30 +61,27 @@ class ModelConfig:
         return (bands, h // self.grid, w // self.grid)
 
     def validate(self, strict_filters: bool = True):
-        require_types("model", self, {
-            "n_classes": Integral, "n_patches": Integral, "descriptor_width": Integral,
-            "hidden_width": Integral, "attention_heads": Integral, "attention_width": Integral,
-            "threshold": Real, "per_position_lstm": bool,
-        })
-        g = self.grid
-        if g * g != self.n_patches:
-            raise ConfigError(f"n_patches must be a perfect square, got {self.n_patches}")
-        if len(self.branches) != len(self.subset_shapes):
+        require_types("model", self)
+        for k, spec in enumerate(self.branches):
+            require_types(f"model.branches[{k}]", spec)
+            for layer in spec.layers:
+                require_types(f"model.branches[{k}].layers", layer)
+        if self.n_patches < 1 or self.grid ** 2 != self.n_patches:
+            raise ConfigError(f"n_patches must be a positive perfect square, got {self.n_patches}")
+        if not self.branches or len(self.branches) != len(self.subset_shapes):
             raise ConfigError(
                 f"{len(self.branches)} branches for {len(self.subset_shapes)} band subsets"
             )
-        if self.n_classes < 1:
-            raise ConfigError("n_classes must be positive")
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError(f"threshold must lie in (0, 1), got {self.threshold}")
-        for name, value in (("descriptor_width", self.descriptor_width),
-                            ("hidden_width", self.hidden_width),
-                            ("attention_heads", self.attention_heads),
-                            ("attention_width", self.attention_width)):
-            if value < 1:
-                raise ConfigError(f"{name} must be positive, got {value}")
+        for name in ("n_classes", "descriptor_width", "hidden_width", "attention_heads", "attention_width"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        g = self.grid
         for k, (spec, shape) in enumerate(zip(self.branches, self.subset_shapes)):
             bands, h, w = shape
+            if any(layer.kernel < 1 or layer.filters < 1 for layer in spec.layers):
+                raise ConfigError(f"branch {k} needs positive kernels and filter counts, got {spec.layers}")
             if len(spec.band_indices) != bands:
                 raise ConfigError(
                     f"branch {k} lists {len(spec.band_indices)} bands but subset {k} has {bands}"
@@ -98,42 +95,27 @@ class ModelConfig:
             raise ConfigError("the lowest-resolution branch must not pool")
 
     def to_dict(self) -> dict:
-        return {
-            "n_classes": self.n_classes,
-            "subset_shapes": [list(s) for s in self.subset_shapes],
-            "branches": [
-                {
-                    "band_indices": list(b.band_indices),
-                    "layers": [[l.kernel, l.filters, bool(l.pool)] for l in b.layers],
-                    "fc_out": b.fc_out,
-                }
-                for b in self.branches
-            ],
-            "n_patches": self.n_patches,
-            "descriptor_width": self.descriptor_width,
-            "hidden_width": self.hidden_width,
-            "attention_heads": self.attention_heads,
-            "attention_width": self.attention_width,
-            "threshold": self.threshold,
-            "per_position_lstm": self.per_position_lstm,
-        }
+        """JSON form; each conv layer is the list [kernel, filters, pool]."""
+        payload = asdict(self)
+        for branch in payload["branches"]:
+            branch["layers"] = [list(layer.values()) for layer in branch["layers"]]
+        return payload
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "ModelConfig":
-        branches = None
-        if payload.get("branches") is not None:
-            branches = [
-                BranchSpec(
-                    band_indices=list(b["band_indices"]),
-                    layers=[ConvLayerSpec(k, f, p) for k, f, p in b["layers"]],
-                    fc_out=b["fc_out"],
-                )
-                for b in payload["branches"]
-            ]
-        known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-        kwargs = {k: v for k, v in payload.items() if k in known and k != "branches"}
-        kwargs["subset_shapes"] = [tuple(s) for s in payload["subset_shapes"]]
-        return cls(branches=branches, **kwargs)
+    def from_dict(cls, payload) -> "ModelConfig":
+        return cls(**config_kwargs("model", cls, payload, {
+            "subset_shapes": shape_triples,
+            "branches": _branches_from_dict,
+        }))
+
+
+def _branches_from_dict(branches):
+    """BranchSpecs from their JSON form; None keeps the default schedules."""
+    if branches is None:
+        return None
+    return [BranchSpec(**{**b, "band_indices": list(b["band_indices"]),
+                          "layers": [ConvLayerSpec(*layer) for layer in b["layers"]]})
+            for b in branches]
 
 
 @dataclass

@@ -101,22 +101,10 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return neg(self)
-
-    def __sub__(self, other):
-        return add(self, neg(_coerce(other, self.dtype)))
-
-    def __rsub__(self, other):
-        return add(_coerce(other, self.dtype), neg(self))
-
     def __mul__(self, other):
         return mul(self, _coerce(other, self.dtype))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        return mul(self, Tensor(np.asarray(1.0 / float(scalar), dtype=self.dtype)))
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -191,13 +179,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(b, _unbroadcast(g, b.shape))
 
     return Tensor(out_data, _parents=(a, b), _backward=_bw, _op="add")
-
-
-def neg(a: Tensor) -> Tensor:
-    def _bw(g):
-        _accumulate(a, -g)
-
-    return Tensor(-a.data, _parents=(a,), _backward=_bw, _op="neg")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:

@@ -1,14 +1,13 @@
 """End-to-end training: optimizers, epoch loop, loss log, evaluation."""
 
 import math
-from dataclasses import dataclass, field
-from numbers import Integral, Real
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .checkpoint import write_checkpoint
-from .errors import ConfigError, TrainingDivergedError, require_types
+from .errors import ConfigError, TrainingDivergedError, config_kwargs, require_types
 from .head import bce_with_logits_loss, predict
 from .init import xavier_init  # re-exported: initialization belongs to training
 from .metrics import MetricsReport, aggregate
@@ -28,41 +27,27 @@ class TrainConfig:
     optimizer: str = "adam"
     seed: int = 0
     checkpoint_every: int = 0  # 0 = final checkpoint only
-    threshold: float = 0.5
     shuffle: bool = True
 
     def validate(self):
-        require_types("train", self, {
-            "learning_rate": Real, "epochs": Integral, "batch_size": Integral, "optimizer": str,
-            "seed": Integral, "checkpoint_every": Integral, "threshold": Real, "shuffle": bool,
-        })
+        require_types("train", self)
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError(f"learning_rate must be a finite number > 0, got {self.learning_rate}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigError(f"optimizer must be adam or sgd, got {self.optimizer!r}")
-        if not 0.0 < self.threshold < 1.0:
-            raise ConfigError(f"threshold must lie in (0, 1), got {self.threshold}")
 
     def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "optimizer": self.optimizer,
-            "seed": self.seed,
-            "checkpoint_every": self.checkpoint_every,
-            "threshold": self.threshold,
-            "shuffle": self.shuffle,
-        }
+        return asdict(self)
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "TrainConfig":
-        known = {f for f in cls.__dataclass_fields__}  # type: ignore[attr-defined]
-        return cls(**{k: v for k, v in payload.items() if k in known})
+    def from_dict(cls, payload) -> "TrainConfig":
+        return cls(**config_kwargs("train", cls, payload))
 
 
 class Adam:
@@ -148,7 +133,6 @@ def make_optimizer(kind: str, learning_rate: float):
 class TrainResult:
     loss_trajectory: list = field(default_factory=list)
     final_checkpoint: str = ""
-    optimizer: object = None
 
 
 def _epoch_order(n: int, seed: int, epoch: int, shuffle: bool) -> np.ndarray:
@@ -156,12 +140,6 @@ def _epoch_order(n: int, seed: int, epoch: int, shuffle: bool) -> np.ndarray:
         return np.arange(n)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, epoch])))
     return rng.permutation(n)
-
-
-def _stack_batch(samples, n_subsets: int):
-    arrays = [np.stack([s.subsets[k] for s in samples]) for k in range(n_subsets)]
-    targets = np.stack([s.labels for s in samples]).astype(np.float32)
-    return arrays, targets
 
 
 def train(model: Model, samples, cfg: TrainConfig, out_dir=None, run_config: dict = None) -> TrainResult:
@@ -175,8 +153,7 @@ def train(model: Model, samples, cfg: TrainConfig, out_dir=None, run_config: dic
     if not samples:
         raise ConfigError("training needs at least one sample")
     optimizer = make_optimizer(cfg.optimizer, cfg.learning_rate)
-    result = TrainResult(optimizer=optimizer)
-    n_subsets = len(model.config.subset_shapes)
+    result = TrainResult()
     echo = dict(run_config or {})
     echo.setdefault("model", model.config.to_dict())
     echo.setdefault("train", cfg.to_dict())
@@ -190,15 +167,16 @@ def train(model: Model, samples, cfg: TrainConfig, out_dir=None, run_config: dic
         total_loss = 0.0
         for batch_index, start in enumerate(range(0, len(order), cfg.batch_size)):
             batch = [samples[i] for i in order[start : start + cfg.batch_size]]
-            arrays, targets = _stack_batch(batch, n_subsets)
+            targets = np.stack([s.labels for s in batch]).astype(np.float32)
             model.zero_grad()
-            loss = bce_with_logits_loss(model.forward(arrays).scores, targets)
+            loss = bce_with_logits_loss(model.forward_samples(batch).scores, targets)
             loss_value = loss.item()
             if not np.isfinite(loss_value):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch {batch_index}"
                 )
             loss.backward()
+            del loss  # free this step's graph before the next forward builds its own
             optimizer.step(model.parameters)
             total_loss += loss_value * len(batch)
         result.loss_trajectory.append(total_loss / len(samples))
@@ -216,11 +194,10 @@ def train(model: Model, samples, cfg: TrainConfig, out_dir=None, run_config: dic
     return result
 
 
-def evaluate_model(model: Model, samples, threshold: float = 0.5, batch_size: int = 32,
-                   keep_per_sample: bool = False) -> MetricsReport:
+def evaluate_model(model: Model, samples, threshold: float = 0.5, batch_size: int = 32) -> MetricsReport:
     probs = model.predict_probabilities(samples, batch_size)
     pairs = [(s.labels, predict(probs[i], threshold)) for i, s in enumerate(samples)]
-    return aggregate(pairs, keep_per_sample=keep_per_sample)
+    return aggregate(pairs)
 
 
 def moving_average(values, window: int = 5) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Checkpoint format round-trips and mismatch detection."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,12 @@ def some_params(rng):
         "layer.bias": Tensor(rng.normal(size=3).astype(np.float32), requires_grad=True),
         "scalarish": Tensor(rng.normal(size=(1,)).astype(np.float32), requires_grad=True),
     }
+
+
+def raw_checkpoint(name=b"w", dims=(2,), values=bytes(8), echo=b"{}") -> bytes:
+    """A MAC1 file with one parameter entry, no optimizer state, epoch 0."""
+    entry = struct.pack("<H", len(name)) + name + struct.pack(f"<B{len(dims)}I", len(dims), *dims) + values
+    return (b"MAC1" + struct.pack("<HI", 1, 1) + entry + struct.pack("<III", 0, 0, len(echo)) + echo)
 
 
 class TestRoundTrip:
@@ -92,3 +100,24 @@ class TestErrors:
         renamed = {("other." + k): v for k, v in params.items()}
         with pytest.raises(ConfigError):
             load_parameters(FakeModel(renamed), read_checkpoint(path).params)
+
+    def test_hand_built_file_parses(self, tmp_path):
+        path = tmp_path / "ok.mac"
+        path.write_bytes(raw_checkpoint(echo=b'{"model": {}}'))
+        data = read_checkpoint(path)
+        np.testing.assert_array_equal(data.params["w"], np.zeros(2, np.float32))
+        assert data.config == {"model": {}}
+
+    @pytest.mark.parametrize("fields", [
+        {"name": b"\xff\xfe"},  # name not UTF-8
+        {"echo": b"\xff{}"},  # echo not UTF-8
+        {"echo": b"not json"},
+        {"echo": b"[1, 2]"},  # echo not an object
+        {"echo": b"[" * 100_000},  # nesting deeper than the JSON parser recurses
+        {"dims": (2**16,) * 4, "values": b""},  # product 2**64 wraps to 0 in int64
+    ])
+    def test_malformed_contents_raise_format_error(self, tmp_path, fields):
+        path = tmp_path / "bad.mac"
+        path.write_bytes(raw_checkpoint(**fields))
+        with pytest.raises(FormatError):
+            read_checkpoint(path)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +101,13 @@ class TestTrain:
         ({"train": {"batch_size": 2.5}}, "batch_size"),
         ({"train": {"epochs": True}}, "epochs"),
         ({"model": {"hidden_width": "8"}}, "hidden_width"),
+        ({"model": {"branches": 5}}, "branches"),
+        ({"model": {"branches": [{"band_indices": ["a"], "layers": [["3", 32, False]], "fc_out": 8}]}},
+         "kernel"),
+        ({"model": [1]}, "model"),
+        ({"model": {"hidden_widht": 8}}, "hidden_widht"),
+        ({"train": {"threshold": 0.3}}, "threshold"),
+        ({"modle": {}}, "modle"),
     ])
     def test_config_file_field_of_wrong_type_exits_2(self, workspace, tmp_path, capsys, payload, field):
         cfg = tmp_path / "cfg.json"
@@ -107,8 +115,29 @@ class TestTrain:
         out = tmp_path / "o"
         assert main(["train", "--data", str(workspace["data"]), "--out", str(out),
                      "--config", str(cfg)]) == 2
-        assert field in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
         assert not out.exists()
+
+    def test_threshold_is_stored_in_the_model_and_used_by_evaluate(self, workspace, tmp_path, capsys):
+        from mrscene.checkpoint import read_checkpoint
+
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(workspace["data"]), "--out", str(run),
+                     "--epochs", "1", "--seed", "1", "--batch-size", "8", "--threshold", "0.3"]) == 0
+        echo = json.loads(capsys.readouterr().out.splitlines()[0][len("config: "):])
+        assert echo["model"]["threshold"] == 0.3 and "threshold" not in echo["train"]
+        assert read_checkpoint(run / "checkpoint-final.mac").config["model"]["threshold"] == 0.3
+        args = ["--data", str(workspace["data"]), "--checkpoint", str(run / "checkpoint-final.mac")]
+        assert main(["evaluate"] + args) == 0
+        stored = capsys.readouterr().out
+        assert "threshold: 0.3\n" in stored
+        assert main(["evaluate"] + args + ["--threshold", "0.3"]) == 0
+        assert capsys.readouterr().out == stored
+        assert main(["predict"] + args) == 0
+        stored = capsys.readouterr().out
+        assert main(["predict"] + args + ["--threshold", "0.3"]) == 0
+        assert capsys.readouterr().out == stored
 
     def test_default_learning_rate_echoed_in_checkpoint(self, workspace):
         from mrscene.checkpoint import read_checkpoint
@@ -176,6 +205,24 @@ class TestEvaluatePredictAttn:
         bad = tmp_path / "bad.mac"
         bad.write_bytes(b"JUNKJUNKJUNK")
         assert main(["evaluate", "--data", str(workspace["data"]), "--checkpoint", str(bad)]) == 2
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("echo", [b"\xff", b"{", b"[]", b'{"model": {"branches": 5}}'])
+    def test_checkpoint_with_bad_config_echo_exits_2(self, workspace, tmp_path, capsys, echo):
+        from mrscene.checkpoint import read_checkpoint
+
+        stored = read_checkpoint(workspace["checkpoint"]).config
+        tail = 4 + len(json.dumps(stored, sort_keys=True, separators=(",", ":")).encode())
+        bad = tmp_path / "bad.mac"
+        bad.write_bytes(workspace["checkpoint"].read_bytes()[:-tail] + struct.pack("<I", len(echo)) + echo)
+        assert main(["evaluate", "--data", str(workspace["data"]), "--checkpoint", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_attn_dump_has_no_threshold_flag(self, workspace, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["attn-dump", "--data", str(workspace["data"]),
+                  "--checkpoint", str(workspace["checkpoint"]), "--threshold", "0.5"])
+        assert exit_info.value.code == 2
         capsys.readouterr()
 
 

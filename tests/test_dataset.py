@@ -161,6 +161,8 @@ class TestGenerator:
     def test_rejects_bad_args(self, tmp_path):
         with pytest.raises(UsageError):
             generate_synthetic(tmp_path / "d", seed=0, n_samples=0)
+        with pytest.raises(UsageError):
+            generate_synthetic(tmp_path / "d", seed=-1, n_samples=1)
         with pytest.raises(ConfigError):
             generate_synthetic(tmp_path / "d", seed=0, n_samples=1, profile="huge")
         with pytest.raises(ConfigError):
@@ -178,6 +180,16 @@ class TestGenerator:
         manifest = generate_synthetic(tmp_path / "d", seed=5, n_samples=6)
         loaded = DatasetManifest.load(tmp_path / "d" / "manifest.json")
         assert loaded == manifest
+
+    @pytest.mark.parametrize("raw", [
+        b"[1, 2]", b"5", b"\xff{}",
+        b'{"n_subsets": 1, "subset_shapes": 5, "n_classes": 2, "class_names": [], "splits": {}}',
+        b'{"n_subsets": 1, "subset_shapes": [[2, 4]], "n_classes": 2, "class_names": [], "splits": {}}',
+        b'{"n_subsets": 1, "subset_shapes": [[2, "4", 4]], "n_classes": 2, "class_names": [], "splits": {}}',
+    ])
+    def test_malformed_manifest_raises_format_error(self, raw):
+        with pytest.raises(FormatError):
+            DatasetManifest.from_json(raw)
 
 
 class TestSeparability:

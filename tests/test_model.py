@@ -1,6 +1,7 @@
 """Model assembly: config validation, forward wiring, batching consistency."""
 
 import importlib.util
+import json
 import tracemalloc
 from pathlib import Path
 
@@ -56,6 +57,60 @@ class TestModelConfig:
         cfg = small_config()
         back = ModelConfig.from_dict(cfg.to_dict())
         assert back.to_dict() == cfg.to_dict()
+
+    def test_reads_the_dict_a_stored_checkpoint_carries(self):
+        """Branch layers are [kernel, filters, pool] lists, as checkpoints
+        written before the dict form came from the dataclass fields hold them."""
+        stored = {
+            "n_classes": 3, "subset_shapes": [[2, 8, 8], [1, 4, 4]],
+            "branches": [
+                {"band_indices": ["a", "b"], "layers": [[3, 4, True], [3, 3, False]], "fc_out": 5},
+                {"band_indices": ["c"], "layers": [[2, 3, False], [2, 2, False]], "fc_out": 4},
+            ],
+            "n_patches": 4, "descriptor_width": 6, "hidden_width": 5, "attention_heads": 2,
+            "attention_width": 4, "threshold": 0.5, "per_position_lstm": False,
+        }
+        assert ModelConfig.from_dict(stored) == small_config()
+        assert json.loads(json.dumps(small_config().to_dict())) == stored
+
+    @pytest.mark.parametrize("payload", [
+        [1],
+        {"n_classes": 3, "subset_shapes": [[2, 8, 8]], "branches": 5},
+        {"n_classes": 3, "subset_shapes": [[2, 8, 8]], "hidden_widht": 8},
+        {"subset_shapes": [[2, 8, 8]]},
+        {"n_classes": 3, "subset_shapes": 5},
+        {"n_classes": 3, "subset_shapes": [[2, 8]]},
+        {"n_classes": 3, "subset_shapes": []},
+        {"n_classes": 3, "subset_shapes": None},
+        {"n_classes": 3, "subset_shapes": [[2, 8, 8]], "branches": False},
+        {"n_classes": 3, "subset_shapes": [[2, 8, 8]],
+         "branches": [{"band_indices": ["a", "b"], "layers": [[3, 4, True, 1]], "fc_out": 5}]},
+        {"n_classes": 3, "subset_shapes": [[2, 8, 8]],
+         "branches": [{"band_indices": 5, "layers": [], "fc_out": 5}]},
+        {"n_classes": 3, "subset_shapes": [[2, 8, 8]],
+         "branches": [{"band_indices": ["a"], "layers": [], "fc_out": 5, "stride": 2}]},
+    ])
+    def test_from_dict_rejects_malformed_payload(self, payload):
+        with pytest.raises(ConfigError):
+            ModelConfig.from_dict(payload).validate(strict_filters=False)
+
+    @pytest.mark.parametrize("field,value", [
+        ("threshold", 1.0), ("threshold", float("nan")), ("hidden_width", "8"), ("per_position_lstm", 1),
+        ("n_patches", 0), ("n_patches", -4), ("n_patches", 10**41),
+    ])
+    def test_rejects_bad_scalar(self, field, value):
+        cfg = small_config()
+        setattr(cfg, field, value)
+        with pytest.raises(ConfigError, match=field):
+            cfg.validate(strict_filters=False)
+
+    @pytest.mark.parametrize("layer", [ConvLayerSpec("3", 4), ConvLayerSpec(3, 4.0), ConvLayerSpec(3, 4, 1),
+                                       ConvLayerSpec(0, 4), ConvLayerSpec(3, -1)])
+    def test_rejects_bad_conv_layer(self, layer):
+        cfg = small_config()
+        cfg.branches[0].layers[0] = layer
+        with pytest.raises(ConfigError):
+            cfg.validate(strict_filters=False)
 
     def test_rejects_non_square_patch_count(self):
         cfg = small_config()

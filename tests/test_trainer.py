@@ -1,9 +1,11 @@
 """Initialization, optimizers, and the training loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from mrscene.dataset import Sample
+from mrscene.dataset import PROFILES, Sample
 from mrscene.errors import ConfigError, TrainingDivergedError
 from mrscene.kbranch import BranchSpec, ConvLayerSpec
 from mrscene.model import Model, ModelConfig
@@ -151,10 +153,30 @@ class TestTrainLoop:
         model, samples = tiny_model_and_samples(n=2)
         for bad in (TrainConfig(learning_rate=0.0), TrainConfig(learning_rate=float("nan")),
                     TrainConfig(learning_rate=float("inf")), TrainConfig(epochs=0),
-                    TrainConfig(batch_size=0), TrainConfig(optimizer="lion"),
-                    TrainConfig(threshold=1.0)):
+                    TrainConfig(batch_size=0), TrainConfig(optimizer="lion"), TrainConfig(seed=-1)):
             with pytest.raises(ConfigError):
                 train(model, samples, bad)
+
+    def test_steps_do_not_hold_earlier_graphs(self):
+        """Peak memory of four steps stays near that of one: each step's
+        graph is freed before the next forward builds its own. Plain
+        gradient descent keeps no optimizer state that would grow after
+        the first step."""
+        shapes = PROFILES["tiny"].subset_shapes
+        rng = np.random.default_rng(0)
+        samples = [Sample([rng.normal(size=s).astype(np.float32) for s in shapes],
+                          np.eye(8, dtype=np.uint8)[i % 8], f"s{i}") for i in range(32)]
+
+        def peak(n):
+            model = Model(ModelConfig(n_classes=8, subset_shapes=shapes), seed=0)
+            tracemalloc.start()
+            try:
+                train(model, samples[:n], TrainConfig(epochs=1, batch_size=8, optimizer="sgd", shuffle=False))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(32) <= 1.1 * peak(8)
 
     def test_evaluate_model_reports_example_metrics(self):
         model, samples = tiny_model_and_samples(n=6)
