@@ -10,9 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import UsageError
+from .errors import ShapeError, UsageError
 from .init import xavier_init
-from .tensor import Tensor
+from .tensor import Tensor, _accumulate, _sigmoid
 
 
 @dataclass
@@ -68,45 +68,97 @@ def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor, p: LstmParams) -> tuple
     return h, c
 
 
-def _params_for_step(params, r: int, length: int):
-    if isinstance(params, LstmParams):
-        return params
-    if len(params) != length:
-        raise UsageError(f"per-position mode needs {length} parameter sets, got {len(params)}")
-    return params[r]
+def lstm_sequence(x: Tensor, p: LstmParams, reverse: bool = False) -> Tensor:
+    """Every step of one direction as a single graph node.
+
+    x: (R, ..., d_in), a sequence of R descriptors or descriptor batches;
+    returns the hidden states (R, ..., hidden). Hidden and cell states start
+    at zero. ``reverse`` walks r = R-1 .. 0: it flips the sequence, runs the
+    same forward recurrence and flips the result back.
+
+    The gates are stacked in the order f, i, o, c, so the input projection
+    of all R steps is one (R*B, d_in) x (d_in, 4*hidden) GEMM (Appleyard et
+    al. 2016) and each step adds one (B, hidden) x (hidden, 4*hidden)
+    product. The backward walks the steps in reverse and then forms the
+    weight and input gradients as GEMMs over all steps at once.
+    """
+    if x.ndim < 2 or x.shape[-1] != p.W_f.shape[1]:
+        raise ShapeError(f"lstm_sequence input {x.shape} does not match W_f {p.W_f.shape}")
+    n, d, hidden = x.shape[0], x.shape[-1], p.hidden
+    leaves = [getattr(p, f"{kind}_{gate}") for kind in "WUb" for gate in "fioc"]
+    W, U, b = (np.concatenate([t.data for t in leaves[k : k + 4]]) for k in (0, 4, 8))
+    xs = np.ascontiguousarray(x.data[::-1] if reverse else x.data).reshape(n, -1, d)
+    batch = xs.shape[1]
+    sig = 3 * hidden  # f, i, o take a sigmoid, the candidate c a tanh
+
+    # acts holds the pre-activations, then in place the gate activations
+    acts = (xs.reshape(-1, d) @ W.T + b).reshape(n, batch, 4 * hidden)
+    f, i, o, cand = (acts[..., k * hidden : (k + 1) * hidden] for k in range(4))
+    c = np.empty((n, batch, hidden), dtype=acts.dtype)
+    tanh_c = np.empty_like(c)
+    h = np.empty_like(c)
+    for r in range(n):
+        a = acts[r]
+        if r:
+            a += h[r - 1] @ U.T
+        a[:, :sig] = _sigmoid(a[:, :sig])
+        np.tanh(a[:, sig:], out=a[:, sig:])
+        np.multiply(i[r], cand[r], out=c[r])
+        if r:
+            c[r] += f[r] * c[r - 1]
+        np.tanh(c[r], out=tanh_c[r])
+        np.multiply(o[r], tanh_c[r], out=h[r])
+
+    def _bw(grad):
+        gh = np.ascontiguousarray(grad[::-1] if reverse else grad).reshape(n, batch, hidden)
+        # derivative of each gate's nonlinearity, written in its output
+        local = np.empty_like(acts)
+        local[..., :sig] = acts[..., :sig] * (1 - acts[..., :sig])
+        local[..., sig:] = 1 - cand * cand
+        dc_dh = o * (1 - tanh_c * tanh_c)  # h = o * tanh(c)
+        dacts = np.empty_like(acts)
+        for r in range(n - 1, -1, -1):
+            if r == n - 1:
+                dh = gh[r]
+                dc = dh * dc_dh[r]
+            else:
+                dh = gh[r] + dacts[r + 1] @ U
+                dc = dh * dc_dh[r] + dc * f[r + 1]
+            da = dacts[r]
+            if r:
+                np.multiply(dc, c[r - 1], out=da[:, :hidden])
+            else:
+                da[:, :hidden] = 0
+            np.multiply(dc, cand[r], out=da[:, hidden : 2 * hidden])
+            np.multiply(dh, tanh_c[r], out=da[:, 2 * hidden : sig])
+            np.multiply(dc, i[r], out=da[:, sig:])
+            da *= local[r]
+        dz = dacts.reshape(-1, 4 * hidden)
+        grads = (
+            dz.T @ xs.reshape(-1, d),
+            dacts[1:].reshape(-1, 4 * hidden).T @ h[:-1].reshape(-1, hidden),
+            dz.sum(axis=0),
+        )
+        for k, leaf in enumerate(leaves):
+            kind, gate = divmod(k, 4)
+            _accumulate(leaf, grads[kind][gate * hidden : (gate + 1) * hidden])
+        if x.requires_grad:
+            dx = (dz @ W).reshape(n, -1, d)
+            _accumulate(x, (dx[::-1] if reverse else dx).reshape(x.shape))
+
+    out_data = (h[::-1] if reverse else h).reshape(x.shape[:-1] + (hidden,))
+    return Tensor(out_data, _parents=(x, *leaves), _backward=_bw, _op="lstm_sequence")
 
 
-def _zero_state(template: Tensor, hidden: int) -> Tensor:
-    shape = template.shape[:-1] + (hidden,)
-    return Tensor(np.zeros(shape, dtype=template.dtype))
-
-
-def bidirectional_pass(descriptors, fwd, bwd) -> list:
+def bidirectional_pass(descriptors, fwd: LstmParams, bwd: LstmParams) -> list:
     """Run both directions over the descriptor sequence and concatenate.
 
     ``descriptors`` is a sequence of tensors (d_in,) or batched (B, d_in).
-    ``fwd``/``bwd`` are either a shared LstmParams or one per position.
     Both directions start from zero hidden and cell states. Element r of
     the result is [h_forward_r ; h_backward_r], width 2*hidden.
     """
     descriptors = list(descriptors)
-    n = len(descriptors)
-    if n < 1:
+    if not descriptors:
         raise UsageError("bidirectional_pass needs at least one descriptor")
-
-    hidden = (fwd if isinstance(fwd, LstmParams) else fwd[0]).hidden
-    h = _zero_state(descriptors[0], hidden)
-    c = _zero_state(descriptors[0], hidden)
-    forward_states = []
-    for r in range(n):
-        h, c = lstm_cell(descriptors[r], h, c, _params_for_step(fwd, r, n))
-        forward_states.append(h)
-
-    h = _zero_state(descriptors[0], hidden)
-    c = _zero_state(descriptors[0], hidden)
-    backward_states = [None] * n
-    for r in range(n - 1, -1, -1):
-        h, c = lstm_cell(descriptors[r], h, c, _params_for_step(bwd, r, n))
-        backward_states[r] = h
-
-    return [T.concat([forward_states[r], backward_states[r]], axis=-1) for r in range(n)]
+    x = T.stack(descriptors)
+    return T.unstack(T.concat([lstm_sequence(x, fwd), lstm_sequence(x, bwd, reverse=True)], axis=-1))

@@ -95,20 +95,20 @@ class DatasetManifest:
     def from_json(cls, raw) -> "DatasetManifest":
         payload = json_object(raw, "manifest")
         try:
-            return cls(
-                n_subsets=payload["n_subsets"],
-                subset_shapes=shape_triples(payload["subset_shapes"]),
-                n_classes=payload["n_classes"],
-                class_names=payload["class_names"],
-                splits=payload["splits"],
-                seed=payload.get("seed", 0),
-                noise=payload.get("noise", 0.0),
-                profile=payload.get("profile", ""),
-            )
+            fields = {key: payload[key]
+                      for key in ("n_subsets", "subset_shapes", "n_classes", "class_names", "splits")}
+            fields["subset_shapes"] = shape_triples(fields["subset_shapes"])
         except KeyError as exc:
             raise FormatError(f"manifest missing field {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise FormatError(f"manifest field subset_shapes is malformed: {exc}") from exc
+        names, splits = fields["class_names"], fields["splits"]
+        if not _strings(names) or len(names) != fields["n_classes"]:
+            raise FormatError(f"manifest field class_names must list n_classes strings, got {names!r}")
+        if not (isinstance(splits, dict) and all(_strings(ids) for ids in splits.values())):
+            raise FormatError(f"manifest field splits must map split names to lists of ids, got {splits!r}")
+        return cls(**fields, seed=payload.get("seed", 0), noise=payload.get("noise", 0.0),
+                   profile=payload.get("profile", ""))
 
     def save(self, path):
         Path(path).write_text(self.to_json(), encoding="utf-8")
@@ -116,6 +116,10 @@ class DatasetManifest:
     @classmethod
     def load(cls, path) -> "DatasetManifest":
         return cls.from_json(Path(path).read_bytes())
+
+
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
 def write_sample(path, sample: Sample):

@@ -166,7 +166,7 @@ def check_module_gradients(seed: int = 0, step: float = DEFAULT_STEP) -> list:
     """Small dedicated checks, one per differentiable building block."""
     from . import tensor as T
     from .attention import attention_scores, pool_descriptors
-    from .birnn import lstm_cell, make_lstm_params
+    from .birnn import lstm_cell, lstm_sequence, make_lstm_params
     from .head import bce_with_logits_loss
     from .tensor import Tensor
 
@@ -210,12 +210,22 @@ def check_module_gradients(seed: int = 0, step: float = DEFAULT_STEP) -> list:
     cc = Tensor(rng.normal(size=4), requires_grad=True)
     wh = Tensor(rng.normal(size=4))
     wcell = Tensor(rng.normal(size=4))
+    # the fused sequence op, both directions, under the same label
+    seq = make_lstm_params(3, 4, seed=seed, prefix="sequence", dtype=np.float64)
+    for _, t in seq.named("sequence"):
+        t.data += rng.uniform(-0.1, 0.1, size=t.shape)  # biases start at zero
+    xseq = Tensor(rng.normal(size=(3, 2, 3)), requires_grad=True)
+    wfwd = Tensor(rng.normal(size=(3, 2, 4)))
+    wrev = Tensor(rng.normal(size=(3, 2, 4)))
     cell_params = dict(cell.named("cell"))
     cell_params.update({"x": xc, "h_prev": hc, "c_prev": cc})
+    cell_params.update(seq.named("sequence"))
+    cell_params["sequence input"] = xseq
 
     def lstm_loss():
         h, c = lstm_cell(xc, hc, cc, cell)
-        return weighted(h, wh) + weighted(c, wcell)
+        return (weighted(h, wh) + weighted(c, wcell) + weighted(lstm_sequence(xseq, seq), wfwd)
+                + weighted(lstm_sequence(xseq, seq, reverse=True), wrev))
 
     reports.append(check_parameters(lstm_loss, cell_params, step=step, label="lstm_cell"))
 

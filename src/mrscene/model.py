@@ -38,7 +38,7 @@ class ModelConfig:
     attention_heads: int = 4
     attention_width: int = 64
     threshold: float = 0.5
-    per_position_lstm: bool = False
+    per_position_lstm: bool = False  # old checkpoints echo it; only False is valid
 
     def __post_init__(self):
         if self.branches is None:
@@ -72,6 +72,8 @@ class ModelConfig:
             raise ConfigError(
                 f"{len(self.branches)} branches for {len(self.subset_shapes)} band subsets"
             )
+        if self.per_position_lstm:
+            raise ConfigError("per_position_lstm must be false: each LSTM direction has one weight set")
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError(f"threshold must lie in (0, 1), got {self.threshold}")
         for name in ("n_classes", "descriptor_width", "hidden_width", "attention_heads", "attention_width"):
@@ -150,22 +152,12 @@ class Model:
         )
         self._register(self.fusion.named("fusion"))
 
-        def lstm(prefix):
-            if config.per_position_lstm:
-                sets = [
-                    make_lstm_params(config.descriptor_width, config.hidden_width, seed,
-                                     f"{prefix}.pos{r}", dtype)
-                    for r in range(config.n_patches)
-                ]
-                for r, p in enumerate(sets):
-                    self._register(p.named(f"{prefix}.pos{r}"))
-                return sets
-            shared = make_lstm_params(config.descriptor_width, config.hidden_width, seed, prefix, dtype)
-            self._register(shared.named(prefix))
-            return shared
-
-        self.lstm_fwd = lstm("lstm.fwd")
-        self.lstm_bwd = lstm("lstm.bwd")
+        self.lstm_fwd, self.lstm_bwd = (
+            make_lstm_params(config.descriptor_width, config.hidden_width, seed, prefix, dtype)
+            for prefix in ("lstm.fwd", "lstm.bwd")
+        )
+        self._register(self.lstm_fwd.named("lstm.fwd"))
+        self._register(self.lstm_bwd.named("lstm.bwd"))
 
         self.attn_hidden = xavier_init(
             (config.attention_width, config.sequence_width), seed, "attention.hidden", dtype
@@ -215,10 +207,7 @@ class Model:
         descriptors = fuse_descriptors(branch_outs, self.fusion)  # (R*B, d_psi)
         steps = [T.slice_rows(descriptors, r * batch, (r + 1) * batch) for r in range(cfg.n_patches)]
         enriched = bidirectional_pass(steps, self.lstm_fwd, self.lstm_bwd)  # R x (B, 2*hidden)
-        stacked = T.concat(
-            [T.reshape(phi, (batch, 1, cfg.sequence_width)) for phi in enriched], axis=1
-        )
-        omega = T.swap_last_axes(stacked)  # (B, 2*hidden, R): column r is patch r
+        omega = T.swap_last_axes(T.stack(enriched, axis=1))  # (B, 2*hidden, R): column r is patch r
         attn = attention_scores(omega, self.attn_hidden, self.attn_heads)
         pooled = pool_descriptors(omega, attn)
         scores = classify(pooled, self.clf_weight, self.clf_bias)

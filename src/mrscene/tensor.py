@@ -157,6 +157,16 @@ def _accumulate(t: Tensor, g: np.ndarray):
     t.grad += g
 
 
+def _accumulate_at(t: Tensor, index, g: np.ndarray):
+    """Add g into t's gradient at t.data[index] only, with no full-size
+    temporary."""
+    if not t.requires_grad:
+        return
+    if t.grad is None:
+        t.grad = np.zeros_like(t.data)
+    t.grad[index] += g
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a gradient back down to the shape of a broadcast operand."""
     while g.ndim > len(shape):
@@ -387,13 +397,10 @@ def sigmoid(x: Tensor) -> Tensor:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # evaluate on the safe side of the exponential to avoid overflow
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # 1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) below, so exp never
+    # overflows; max(e, z >= 0) picks the numerator without a masked copy
+    e = np.exp(-np.abs(z))
+    return np.maximum(e, z >= 0) / (1 + e)
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -453,14 +460,41 @@ def swap_last_axes(x: Tensor) -> Tensor:
     return Tensor(out_data, _parents=(x,), _backward=_bw, _op="swap_last_axes")
 
 
+def stack(parts, axis: int = 0) -> Tensor:
+    """Stack equally shaped tensors along a new axis."""
+    parts = list(parts)
+    if not parts:
+        raise ShapeError("stack needs at least one part")
+    try:
+        out_data = np.stack([p.data for p in parts], axis=axis)
+    except ValueError as exc:
+        raise ShapeError(f"stack shapes disagree: {[p.shape for p in parts]}") from exc
+
+    def _bw(g):
+        for part, piece in zip(parts, np.moveaxis(g, axis, 0)):
+            _accumulate(part, piece)
+
+    return Tensor(out_data, _parents=tuple(parts), _backward=_bw, _op="stack")
+
+
+def unstack(x: Tensor) -> list:
+    """The slices x[0], x[1], ... along the first axis, one node each."""
+
+    def row(r):
+        def _bw(g):
+            _accumulate_at(x, r, g)
+
+        return Tensor(x.data[r], _parents=(x,), _backward=_bw, _op="unstack")
+
+    return [row(r) for r in range(x.shape[0])]
+
+
 def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
     """Rows [start, stop) along the first axis."""
     out_data = x.data[start:stop]
 
     def _bw(g):
-        gx = np.zeros_like(x.data)
-        gx[start:stop] = g
-        _accumulate(x, gx)
+        _accumulate_at(x, slice(start, stop), g)
 
     return Tensor(out_data, _parents=(x,), _backward=_bw, _op="slice_rows")
 

@@ -1,4 +1,5 @@
-"""LSTM cell against a scalar transcription; bidirectional pass structure."""
+"""LSTM cell against a scalar transcription; the fused sequence op against a
+loop of cells; bidirectional pass structure."""
 
 import math
 
@@ -6,8 +7,8 @@ import numpy as np
 import pytest
 
 from mrscene import tensor as T
-from mrscene.birnn import LstmParams, bidirectional_pass, lstm_cell, make_lstm_params
-from mrscene.errors import UsageError
+from mrscene.birnn import LstmParams, bidirectional_pass, lstm_cell, lstm_sequence, make_lstm_params
+from mrscene.errors import ShapeError, UsageError
 from mrscene.gradcheck import numeric_gradient, relative_error
 from mrscene.tensor import Tensor
 
@@ -100,6 +101,72 @@ class TestLstmCell:
             np.testing.assert_allclose(cb.data[i], c1.data, atol=1e-12)
 
 
+def cell_loop(x, p, reverse):
+    """Hidden states of one direction from a loop of lstm_cell calls."""
+    zero = Tensor(np.zeros(x.shape[1:-1] + (p.hidden,), dtype=x.dtype))
+    h, c = zero, zero
+    steps = T.unstack(x)
+    states = [None] * len(steps)
+    for r in range(len(steps))[::-1] if reverse else range(len(steps)):
+        h, c = lstm_cell(steps[r], h, c, p)
+        states[r] = h
+    return T.stack(states)
+
+
+class TestLstmSequence:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("batch", [1, 4])
+    @pytest.mark.parametrize("steps", [1, 3, 16])
+    def test_matches_unfused_cell_loop(self, steps, batch, reverse, dtype):
+        """Outputs and all 13 gradients (12 parameters and the input): within
+        1e-12 at 64-bit, within float32 round-off at 32-bit."""
+        rng = np.random.default_rng(steps * 10 + batch)
+        p = random_params(rng, 5, 3, dtype)
+        x = Tensor(rng.normal(size=(steps, batch, 5)).astype(dtype), requires_grad=True)
+        weights = Tensor(rng.normal(size=(steps, batch, 3)).astype(dtype))
+        leaves = dict(p.named("p"), x=x)
+        tol = 1e-12 if dtype == np.float64 else 16 * np.finfo(np.float32).eps
+
+        results = []
+        for run in (lambda: lstm_sequence(x, p, reverse), lambda: cell_loop(x, p, reverse)):
+            for t in leaves.values():
+                t.zero_grad()
+            out = run()
+            T.sum_all(T.mul(out, weights)).backward()
+            results.append((out.data, {name: t.grad.copy() for name, t in leaves.items()}))
+        (fused, fused_grads), (loop, loop_grads) = results
+
+        assert fused.shape == (steps, batch, 3) and fused.dtype == dtype
+        np.testing.assert_allclose(fused, loop, rtol=0, atol=tol)
+        for name, ref in loop_grads.items():
+            scale = max(1.0, float(np.abs(ref).max()))
+            assert fused_grads[name].dtype == dtype
+            np.testing.assert_allclose(fused_grads[name], ref, rtol=0, atol=tol * scale, err_msg=name)
+
+    def test_one_node_per_direction(self):
+        rng = np.random.default_rng(10)
+        p = random_params(rng, 4, 3)
+        x = Tensor(rng.normal(size=(6, 2, 4)), requires_grad=True)
+        out = lstm_sequence(x, p)
+        assert out._op == "lstm_sequence" and set(out._parents) == {x, *vars(p).values()}
+
+    def test_unbatched_sequence_matches_batch_of_one(self):
+        rng = np.random.default_rng(11)
+        p = random_params(rng, 4, 3)
+        xs = rng.normal(size=(5, 4))
+        for reverse in (False, True):
+            np.testing.assert_array_equal(lstm_sequence(Tensor(xs), p, reverse).data,
+                                          lstm_sequence(Tensor(xs[:, None]), p, reverse).data[:, 0])
+
+    def test_input_width_must_match(self):
+        p = random_params(np.random.default_rng(12), 4, 3)
+        with pytest.raises(ShapeError):
+            lstm_sequence(Tensor(np.zeros((5, 2, 3))), p)
+        with pytest.raises(ShapeError):
+            lstm_sequence(Tensor(np.zeros(4)), p)
+
+
 class TestBidirectionalPass:
     def test_single_element_sequence(self):
         rng = np.random.default_rng(3)
@@ -152,17 +219,6 @@ class TestBidirectionalPass:
         p = random_params(rng, 3, 2)
         with pytest.raises(UsageError):
             bidirectional_pass([], p, p)
-
-    def test_per_position_parameters(self):
-        rng = np.random.default_rng(8)
-        shared = random_params(rng, 3, 2)
-        per_pos = [random_params(rng, 3, 2) for _ in range(3)]
-        seq = [Tensor(rng.normal(size=3)) for _ in range(3)]
-        shared_out = bidirectional_pass(seq, shared, shared)
-        pos_out = bidirectional_pass(seq, per_pos, per_pos)
-        assert not np.allclose(shared_out[0].data, pos_out[0].data)
-        with pytest.raises(UsageError):
-            bidirectional_pass(seq, per_pos[:2], per_pos[:2])
 
     def test_gradcheck_end_to_end(self):
         rng = np.random.default_rng(9)

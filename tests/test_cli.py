@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import shutil
 import struct
 from pathlib import Path
 
@@ -108,6 +109,7 @@ class TestTrain:
         ({"model": {"hidden_widht": 8}}, "hidden_widht"),
         ({"train": {"threshold": 0.3}}, "threshold"),
         ({"modle": {}}, "modle"),
+        ({"model": {"per_position_lstm": True}}, "per_position_lstm"),
     ])
     def test_config_file_field_of_wrong_type_exits_2(self, workspace, tmp_path, capsys, payload, field):
         cfg = tmp_path / "cfg.json"
@@ -217,6 +219,35 @@ class TestEvaluatePredictAttn:
         bad.write_bytes(workspace["checkpoint"].read_bytes()[:-tail] + struct.pack("<I", len(echo)) + echo)
         assert main(["evaluate", "--data", str(workspace["data"]), "--checkpoint", str(bad)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("per_position,code", [(False, 0), (True, 2)])
+    def test_checkpoint_echo_of_per_position_lstm(self, workspace, tmp_path, capsys, per_position, code):
+        """Checkpoints echo "per_position_lstm": false and still load; true is refused."""
+        from mrscene.checkpoint import read_checkpoint
+
+        stored = read_checkpoint(workspace["checkpoint"]).config
+        assert stored["model"]["per_position_lstm"] is False
+        old_echo = json.dumps(stored, sort_keys=True, separators=(",", ":")).encode()
+        echo = json.dumps({**stored, "model": {**stored["model"], "per_position_lstm": per_position}},
+                          sort_keys=True, separators=(",", ":")).encode()
+        ckpt = tmp_path / "echo.mac"
+        ckpt.write_bytes(workspace["checkpoint"].read_bytes()[: -4 - len(old_echo)]
+                         + struct.pack("<I", len(echo)) + echo)
+        assert main(["evaluate", "--data", str(workspace["data"]), "--checkpoint", str(ckpt)]) == code
+        assert ("per_position_lstm" in capsys.readouterr().err) == bool(code)
+
+    @pytest.mark.parametrize("command,field,value", [
+        ("evaluate", "splits", 5), ("evaluate", "splits", {"test": 5}), ("evaluate", "class_names", "abc"),
+        ("predict", "class_names", []),
+    ])
+    def test_manifest_field_of_wrong_type_exits_2(self, workspace, tmp_path, capsys, command, field, value):
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        (data / "manifest.json").write_text(json.dumps({**manifest, field: value}))
+        assert main([command, "--data", str(data), "--checkpoint", str(workspace["checkpoint"])]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
 
     def test_attn_dump_has_no_threshold_flag(self, workspace, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -45,9 +45,9 @@ def valid_sample(path) -> bytes:
 
 def parses_or_format_error(read, *args):
     try:
-        read(*args)
+        return read(*args)
     except FormatError:
-        pass
+        return None
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +80,10 @@ JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st
                     max_leaves=12)
 
 
+def strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 @FUZZ
 @given(raw=st.one_of(
     corrupted(MANIFEST.to_json().encode("utf-8")),
@@ -87,6 +91,30 @@ JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st
     st.fixed_dictionaries({key: JSON for key in ("n_subsets", "subset_shapes", "n_classes",
                                                   "class_names", "splits")}).map(
         json.dumps),
+    st.fixed_dictionaries({"class_names": JSON,
+                           "splits": JSON | st.dictionaries(st.text(max_size=4), JSON)}).map(
+        lambda fields: json.dumps({**json.loads(MANIFEST.to_json()), **fields})),
 ))
 def test_manifest_from_json_any_bytes(raw):
-    parses_or_format_error(DatasetManifest.from_json, raw)
+    """A manifest that parses has the field types its readers index by."""
+    manifest = parses_or_format_error(DatasetManifest.from_json, raw)
+    if manifest is not None:
+        assert strings(manifest.class_names) and len(manifest.class_names) == manifest.n_classes
+        assert isinstance(manifest.splits, dict) and all(strings(ids) for ids in manifest.splits.values())
+
+
+@pytest.mark.parametrize("field,value", [
+    ("splits", 5),
+    ("splits", ["train"]),
+    ("splits", {"test": 5}),
+    ("splits", {"test": "s0"}),
+    ("splits", {"test": [0]}),
+    ("class_names", "abc"),
+    ("class_names", {"a": 1}),
+    ("class_names", ["a", None, "c"]),
+    ("class_names", ["a", "b"]),
+])
+def test_manifest_field_of_wrong_type_is_named(field, value):
+    raw = json.dumps({**json.loads(MANIFEST.to_json()), field: value})
+    with pytest.raises(FormatError, match=field):
+        DatasetManifest.from_json(raw)

@@ -13,13 +13,13 @@ from mrscene.attention import attention_scores, pool_descriptors
 from mrscene.birnn import bidirectional_pass
 from mrscene.dataset import PROFILES, Sample
 from mrscene.errors import ConfigError, ShapeError, UsageError
-from mrscene.head import classify
+from mrscene.head import bce_with_logits_loss, classify
 from mrscene.kbranch import BranchSpec, ConvLayerSpec, branch_forward, fuse_descriptors, split_patches
 from mrscene.model import Model, ModelConfig
 from mrscene.tensor import Tensor
 
 
-def small_config(per_position=False) -> ModelConfig:
+def small_config() -> ModelConfig:
     return ModelConfig(
         n_classes=3,
         subset_shapes=[(2, 8, 8), (1, 4, 4)],
@@ -32,7 +32,6 @@ def small_config(per_position=False) -> ModelConfig:
         hidden_width=5,
         attention_heads=2,
         attention_width=4,
-        per_position_lstm=per_position,
     )
 
 
@@ -154,6 +153,17 @@ class TestModelForward:
         assert result.attention.shape == (3, 2, 4)
         np.testing.assert_allclose(result.attention.data.sum(axis=-1), 1.0, atol=1e-5)
 
+    def test_tiny_training_step_graph_is_small(self):
+        """Each LSTM direction is one graph node, not R cells of ~21 nodes
+        each: a default tiny step (16 patches) stays within 200 nodes,
+        parameters and inputs included."""
+        shapes = PROFILES["tiny"].subset_shapes
+        model = Model(ModelConfig(n_classes=8, subset_shapes=shapes), seed=0)
+        rng = np.random.default_rng(0)
+        arrays = [rng.normal(size=(2,) + tuple(s)).astype(np.float32) for s in shapes]
+        loss = bce_with_logits_loss(model.forward(arrays).scores, np.ones((2, 8)))
+        assert len(T.Graph.trace(loss).nodes) <= 200
+
     def test_rejects_wrong_subset_shape(self):
         model = Model(small_config(), seed=0)
         with pytest.raises(ShapeError):
@@ -184,13 +194,6 @@ class TestModelForward:
             scores = classify(pooled, model.clf_weight, model.clf_bias)
             np.testing.assert_allclose(batch.scores.data[b], scores.data, rtol=1e-9, atol=1e-9)
             np.testing.assert_allclose(batch.attention.data[b], attn.data, rtol=1e-9, atol=1e-9)
-
-    def test_per_position_lstm_has_more_parameters(self):
-        shared = Model(small_config(), seed=0)
-        per_pos = Model(small_config(per_position=True), seed=0)
-        assert per_pos.n_parameters() > shared.n_parameters()
-        lstm_names = [n for n in per_pos.parameters if n.startswith("lstm.fwd.pos")]
-        assert len(lstm_names) == 4 * 12  # one set of 12 tensors per patch position
 
     def test_parameter_names_unique_and_deterministic(self):
         m1 = Model(small_config(), seed=5)

@@ -267,6 +267,23 @@ class TestActivations:
         out = T.sigmoid(T.Tensor(np.array([-1000.0, 1000.0])))
         np.testing.assert_allclose(out.data, [0.0, 1.0], atol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_bits_equal_two_branch_formula(self, dtype):
+        """1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) below, evaluated
+        on each side with masked indexing, bit for bit."""
+        special = [0.0, -0.0, 1000.0, -1000.0, np.inf, -np.inf, 88.0, -88.0, -104.0, -745.0, 1e-30, -1e-30]
+        z = np.concatenate([special, np.linspace(-120, 120, 2401), RNG(15).normal(size=500) * 30])
+        z = z.astype(dtype)
+        expected = np.empty_like(z)
+        pos = z >= 0
+        expected[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        expected[~pos] = ez / (1.0 + ez)
+        got = T.sigmoid(T.Tensor(z)).data
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got.view(f"u{z.itemsize}"), expected.view(f"u{z.itemsize}"))
+        assert np.isnan(T.sigmoid(T.Tensor(np.array([np.nan], dtype))).data[0])
+
 
 class TestConcatAndShapes:
     def test_concat_128_plus_128(self):
@@ -294,6 +311,32 @@ class TestConcatAndShapes:
         x = T.Tensor(rng.normal(size=(6, 3)), requires_grad=True)
         w = T.Tensor(rng.normal(size=(2, 3)))
         fd_check(lambda: weighted_sum(T.slice_rows(x, 2, 4), w), [x])
+
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    def test_stack_gradcheck(self, axis):
+        rng = RNG(16)
+        parts = [T.Tensor(rng.normal(size=(2, 3)), requires_grad=True) for _ in range(4)]
+        w = T.Tensor(np.moveaxis(rng.normal(size=(4, 2, 3)), 0, axis))
+        out = T.stack(parts, axis=axis)
+        np.testing.assert_array_equal(out.data, np.stack([p.data for p in parts], axis=axis))
+        fd_check(lambda: weighted_sum(T.stack(parts, axis=axis), w), parts)
+
+    def test_stack_mismatch(self):
+        with pytest.raises(ShapeError):
+            T.stack([T.Tensor(np.zeros(2)), T.Tensor(np.zeros(3))])
+        with pytest.raises(ShapeError):
+            T.stack([])
+
+    def test_unstack_gradcheck(self):
+        rng = RNG(17)
+        x = T.Tensor(rng.normal(size=(3, 2, 4)), requires_grad=True)
+        w = [T.Tensor(rng.normal(size=(2, 4))) for _ in range(3)]
+        rows = T.unstack(x)
+        assert [r.shape for r in rows] == [(2, 4)] * 3
+        np.testing.assert_array_equal(np.stack([r.data for r in rows]), x.data)
+        # two of the three rows reach the loss, one of them twice
+        fd_check(lambda: (lambda r: weighted_sum(r[0], w[0]) + weighted_sum(r[2], w[2])
+                          + weighted_sum(r[2], w[1]))(T.unstack(x)), [x])
 
     def test_reshape_swap_roundtrip(self):
         rng = RNG(14)
