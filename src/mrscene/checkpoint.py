@@ -12,14 +12,13 @@ bit-exactly at 32-bit.
 """
 
 import json
-import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import BadMagicError, ConfigError, FormatError, TruncatedFileError, json_object
+from .errors import BinaryReader, ConfigError, FormatError, json_object
 
 MAGIC = b"MAC1"
 FORMAT_VERSION = 1
@@ -48,23 +47,7 @@ def _pack_entries(entries: dict) -> bytes:
     return bytes(blob)
 
 
-class _Reader:
-    def __init__(self, data: bytes, path):
-        self.view = memoryview(data)
-        self.path = path
-
-    def take(self, n: int, what: str) -> memoryview:
-        if len(self.view) < n:
-            raise TruncatedFileError(f"{self.path}: file ends inside {what}")
-        chunk = self.view[:n]
-        self.view = self.view[n:]
-        return chunk
-
-    def unpack(self, fmt: str, what: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
-
-
-def _read_entries(reader: _Reader, what: str) -> dict:
+def _read_entries(reader: BinaryReader, what: str) -> dict:
     (count,) = reader.unpack("<I", f"{what} count")
     entries = {}
     for _ in range(count):
@@ -75,9 +58,7 @@ def _read_entries(reader: _Reader, what: str) -> dict:
             raise FormatError(f"{reader.path}: {what} name is not UTF-8") from exc
         (rank,) = reader.unpack("<B", f"{what} rank")
         dims = reader.unpack(f"<{rank}I", f"{what} dims")
-        n_values = math.prod(dims)  # Python ints: a huge product cannot wrap around
-        raw = reader.take(n_values * 4, f"{what} values of {name!r}")
-        entries[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
+        entries[name] = reader.array("<f4", dims, f"{what} values of {name!r}")
     return entries
 
 
@@ -95,19 +76,13 @@ def write_checkpoint(path, params: dict, optimizer_state: dict, epoch: int, conf
 
 
 def read_checkpoint(path) -> CheckpointData:
-    reader = _Reader(Path(path).read_bytes(), path)
-    if bytes(reader.take(4, "magic")) != MAGIC:
-        raise BadMagicError(f"{path}: expected magic {MAGIC!r}")
-    (version,) = reader.unpack("<H", "version")
-    if version != FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported checkpoint version {version}")
+    reader = BinaryReader(path, MAGIC, FORMAT_VERSION)
     params = _read_entries(reader, "parameter")
     opt_state = _read_entries(reader, "optimizer state")
     (epoch,) = reader.unpack("<I", "epoch")
     (config_len,) = reader.unpack("<I", "config echo length")
     config = json_object(bytes(reader.take(config_len, "config echo")), f"{path}: config echo")
-    if len(reader.view) != 0:
-        raise FormatError(f"{path}: trailing bytes after config echo")
+    reader.end("config echo")
     return CheckpointData(params=params, optimizer_state=opt_state, epoch=epoch, config=config)
 
 

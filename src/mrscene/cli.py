@@ -53,27 +53,31 @@ def _load_manifest(data_dir) -> DatasetManifest:
     return DatasetManifest.load(path)
 
 
+def _model_config(payload, manifest: DatasetManifest, source: str, strict_filters: bool = True) -> ModelConfig:
+    """The validated model config of ``payload``; ConfigError unless its
+    input geometry and class count are the dataset's."""
+    model_cfg = ModelConfig.from_dict(payload)
+    for field in ("subset_shapes", "n_classes"):
+        ours, theirs = getattr(model_cfg, field), getattr(manifest, field)
+        if ours != theirs:
+            raise ConfigError(f"{source} model.{field} = {ours} does not match dataset manifest value {theirs}")
+    model_cfg.validate(strict_filters)
+    return model_cfg
+
+
 def _resolve_configs(args, manifest: DatasetManifest):
     """Merge defaults, config file, and flags (flags win)."""
     file_cfg = _load_file_config(args.config)
-    model_payload = file_cfg.get("model", {})
+    model_payload = {"subset_shapes": manifest.subset_shapes, "n_classes": manifest.n_classes,
+                     **file_cfg.get("model", {})}
     train_payload = file_cfg.get("train", {})
-
-    for field, value in (("subset_shapes", [list(s) for s in manifest.subset_shapes]),
-                         ("n_classes", manifest.n_classes)):
-        if model_payload.setdefault(field, value) != value:
-            raise ConfigError(
-                f"config field model.{field} = {model_payload[field]} "
-                f"does not match dataset manifest value {value}"
-            )
 
     flags = {f.name: getattr(args, f.name, None) for f in fields(TrainConfig)}  # flag dests are field names
     train_payload.update({name: value for name, value in flags.items() if value is not None})
     if args.threshold is not None:
         model_payload["threshold"] = args.threshold
 
-    model_cfg = ModelConfig.from_dict(model_payload)
-    model_cfg.validate()
+    model_cfg = _model_config(model_payload, manifest, "config")
     train_cfg = TrainConfig.from_dict(train_payload)
     train_cfg.validate()
     echo = {"model": model_cfg.to_dict(), "train": train_cfg.to_dict(), "data": str(args.data)}
@@ -95,18 +99,8 @@ def _model_from_checkpoint(checkpoint_path, manifest: DatasetManifest):
     data = read_checkpoint(checkpoint_path)
     if "model" not in data.config:
         raise ConfigError(f"{checkpoint_path}: checkpoint carries no model config echo")
-    model_cfg = ModelConfig.from_dict(data.config["model"])
-    model_cfg.validate(strict_filters=False)
-    stored_shapes = [tuple(s) for s in model_cfg.subset_shapes]
-    manifest_shapes = [tuple(s) for s in manifest.subset_shapes]
-    if stored_shapes != manifest_shapes:
-        raise ConfigError(
-            f"checkpoint subset_shapes {stored_shapes} do not match dataset {manifest_shapes}"
-        )
-    if model_cfg.n_classes != manifest.n_classes:
-        raise ConfigError(
-            f"checkpoint n_classes {model_cfg.n_classes} does not match dataset {manifest.n_classes}"
-        )
+    model_cfg = _model_config(data.config["model"], manifest, f"checkpoint {checkpoint_path}",
+                              strict_filters=False)
     model = Model(model_cfg, seed=0)
     load_parameters(model, data.params)
     return model, data
@@ -172,6 +166,8 @@ def cmd_predict(args) -> int:
 def cmd_attn_dump(args) -> int:
     if args.batch_size < 1:
         raise UsageError(f"batch_size must be >= 1, got {args.batch_size}")
+    if args.limit < 0:
+        raise UsageError(f"limit must be >= 0, got {args.limit}")
     manifest = _load_manifest(args.data)
     model, data = _model_from_checkpoint(args.checkpoint, manifest)
     samples = _load_samples(manifest, args.split, args.data)
@@ -257,10 +253,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ConfigError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (UsageError, ConfigError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MrsceneError as exc:

@@ -17,19 +17,20 @@ noise. Identical (seed, parameters) produce byte-identical output.
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (
-    BadMagicError,
+    BinaryReader,
     ConfigError,
     FormatError,
     ManifestMismatchError,
-    TruncatedFileError,
     UsageError,
+    config_kwargs,
     json_object,
+    require_types,
     shape_triples,
 )
 
@@ -69,46 +70,34 @@ PROFILES = {
 
 @dataclass
 class DatasetManifest:
-    n_subsets: int
-    subset_shapes: list
+    subset_shapes: list  # (bands, H, W) per resolution group
     n_classes: int
     class_names: list
-    splits: dict
+    splits: dict  # split name -> sample ids
     seed: int = 0
     noise: float = 0.0
     profile: str = ""
 
     def to_json(self) -> str:
-        payload = {
-            "n_subsets": self.n_subsets,
-            "subset_shapes": [list(s) for s in self.subset_shapes],
-            "n_classes": self.n_classes,
-            "class_names": self.class_names,
-            "splits": self.splits,
-            "seed": self.seed,
-            "noise": self.noise,
-            "profile": self.profile,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def from_json(cls, raw) -> "DatasetManifest":
         payload = json_object(raw, "manifest")
-        try:
-            fields = {key: payload[key]
-                      for key in ("n_subsets", "subset_shapes", "n_classes", "class_names", "splits")}
-            fields["subset_shapes"] = shape_triples(fields["subset_shapes"])
-        except KeyError as exc:
-            raise FormatError(f"manifest missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"manifest field subset_shapes is malformed: {exc}") from exc
-        names, splits = fields["class_names"], fields["splits"]
-        if not _strings(names) or len(names) != fields["n_classes"]:
+        fields = {key: value for key, value in payload.items() if key != "n_subsets"}
+        manifest = cls(**config_kwargs("manifest", cls, fields, {"subset_shapes": shape_triples}, FormatError))
+        require_types("manifest", manifest, FormatError)
+        # older writers stored n_subsets; nothing reads it, but it must not contradict subset_shapes
+        n_subsets = len(manifest.subset_shapes)
+        if payload.get("n_subsets", n_subsets) != n_subsets:
+            raise FormatError(f"manifest field n_subsets = {payload['n_subsets']!r} does not match "
+                              f"the {n_subsets} subset_shapes")
+        names, splits = manifest.class_names, manifest.splits
+        if not _strings(names) or len(names) != manifest.n_classes:
             raise FormatError(f"manifest field class_names must list n_classes strings, got {names!r}")
         if not (isinstance(splits, dict) and all(_strings(ids) for ids in splits.values())):
             raise FormatError(f"manifest field splits must map split names to lists of ids, got {splits!r}")
-        return cls(**fields, seed=payload.get("seed", 0), noise=payload.get("noise", 0.0),
-                   profile=payload.get("profile", ""))
+        return manifest
 
     def save(self, path):
         Path(path).write_text(self.to_json(), encoding="utf-8")
@@ -136,35 +125,15 @@ def write_sample(path, sample: Sample):
     Path(path).write_bytes(bytes(blob))
 
 
-def _take(buf: memoryview, n: int, path, what: str) -> memoryview:
-    if len(buf) < n:
-        raise TruncatedFileError(f"{path}: file ends inside {what}")
-    return buf[:n]
-
-
 def read_sample(path, manifest: DatasetManifest = None) -> Sample:
     """Read one MRS1 file; optionally validate shapes against a manifest."""
-    raw = memoryview(Path(path).read_bytes())
-    if bytes(_take(raw, 4, path, "magic")) != MAGIC:
-        raise BadMagicError(f"{path}: expected magic {MAGIC!r}")
-    raw = raw[4:]
-    version, n_subsets = struct.unpack("<HH", _take(raw, 4, path, "header"))
-    raw = raw[4:]
-    if version != FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported format version {version}")
-    subsets = []
-    for k in range(n_subsets):
-        bands, h, w = struct.unpack("<III", _take(raw, 12, path, f"subset {k} header"))
-        raw = raw[12:]
-        nbytes = bands * h * w * 4
-        arr = np.frombuffer(_take(raw, nbytes, path, f"subset {k} data"), dtype="<f4")
-        subsets.append(arr.reshape(bands, h, w).copy())
-        raw = raw[nbytes:]
-    (n_classes,) = struct.unpack("<I", _take(raw, 4, path, "label header"))
-    raw = raw[4:]
-    labels = np.frombuffer(_take(raw, n_classes, path, "labels"), dtype=np.uint8).copy()
-    if len(raw) != n_classes:
-        raise FormatError(f"{path}: trailing bytes after labels")
+    reader = BinaryReader(path, MAGIC, FORMAT_VERSION)
+    (n_subsets,) = reader.unpack("<H", "subset count")
+    subsets = [reader.array("<f4", reader.unpack("<III", f"subset {k} header"), f"subset {k} data")
+               for k in range(n_subsets)]
+    (n_classes,) = reader.unpack("<I", "label header")
+    labels = reader.array(np.uint8, (n_classes,), "labels")
+    reader.end("labels")
     if labels.size and labels.max() > 1:
         raise FormatError(f"{path}: labels must be 0/1 bytes")
     sample = Sample(subsets=subsets, labels=labels, id=Path(path).stem)
@@ -287,7 +256,6 @@ def generate_synthetic(
         start += count
 
     manifest = DatasetManifest(
-        n_subsets=len(prof.subset_shapes),
         subset_shapes=[tuple(s) for s in prof.subset_shapes],
         n_classes=n_classes,
         class_names=[f"class_{c:02d}" for c in range(n_classes)],

@@ -2,8 +2,13 @@
 input that raise them."""
 
 import json
+import math
+import struct
 from dataclasses import MISSING, fields
 from numbers import Integral, Real
+from pathlib import Path
+
+import numpy as np
 
 
 class MrsceneError(Exception):
@@ -54,28 +59,63 @@ def json_object(raw, what: str, error=FormatError) -> dict:
     return payload
 
 
-def config_kwargs(section: str, cls, payload, decoders: dict = None) -> dict:
+class BinaryReader:
+    """Bounded reader over the bytes of one binary file that starts with
+    ``magic`` and a u16 ``version``. Every read past the end raises
+    TruncatedFileError naming the field; ``end`` refuses trailing bytes."""
+
+    def __init__(self, path, magic: bytes, version: int):
+        self.path = path
+        self.view = memoryview(Path(path).read_bytes())
+        self.pos = 0
+        if bytes(self.take(len(magic), "magic")) != magic:
+            raise BadMagicError(f"{path}: expected magic {magic!r}")
+        (found,) = self.unpack("<H", "version")
+        if found != version:
+            raise FormatError(f"{path}: unsupported format version {found}")
+
+    def take(self, n: int, what: str) -> memoryview:
+        if len(self.view) - self.pos < n:
+            raise TruncatedFileError(f"{self.path}: file ends inside {what}")
+        self.pos += n
+        return self.view[self.pos - n : self.pos]
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+    def array(self, dtype, shape, what: str) -> np.ndarray:
+        """The next ``shape`` values of ``dtype``, copied out of the file."""
+        dtype = np.dtype(dtype)
+        n_values = math.prod(shape)  # Python ints: a huge product cannot wrap around
+        return np.frombuffer(self.take(n_values * dtype.itemsize, what), dtype).reshape(shape).copy()
+
+    def end(self, after: str):
+        if self.pos != len(self.view):
+            raise FormatError(f"{self.path}: trailing bytes after {after}")
+
+
+def config_kwargs(section: str, cls, payload, decoders: dict = None, error=ConfigError) -> dict:
     """Constructor keyword arguments for the dataclass ``cls`` from a JSON
     object. ``decoders`` turns the JSON form of a field into its value.
-    ConfigError for a non-object, an unknown or missing key, or a value
+    ``error`` for a non-object, an unknown or missing key, or a value
     its decoder cannot read."""
     if not isinstance(payload, dict):
-        raise ConfigError(f"{section} must be a JSON object, got {payload!r}")
+        raise error(f"{section} must be a JSON object, got {payload!r}")
     declared = fields(cls)
     unknown = sorted(set(payload) - {f.name for f in declared})
     missing = [f.name for f in declared
                if f.name not in payload and f.default is MISSING and f.default_factory is MISSING]
     if unknown:
-        raise ConfigError(f"{section} has unknown fields {unknown}")
+        raise error(f"{section} has unknown fields {unknown}")
     if missing:
-        raise ConfigError(f"{section} lacks fields {missing}")
+        raise error(f"{section} lacks fields {missing}")
     kwargs = dict(payload)
     for name, decode in (decoders or {}).items():
         if name in kwargs:
             try:
                 kwargs[name] = decode(kwargs[name])
             except (TypeError, ValueError, KeyError) as exc:
-                raise ConfigError(f"{section}.{name} is malformed: {exc!r}") from exc
+                raise error(f"{section}.{name} is malformed: {exc!r}") from exc
     return kwargs
 
 
@@ -92,8 +132,8 @@ _KINDS = {int: (Integral, "an integer"), float: (Real, "a number"),
           bool: (bool, "true or false"), str: (str, "a string")}
 
 
-def require_types(section: str, config):
-    """Raise ConfigError for the first scalar field of the dataclass
+def require_types(section: str, config, error=ConfigError):
+    """Raise ``error`` for the first scalar field of the dataclass
     ``config`` whose value does not fit its annotation: an int field takes
     any Integral, a float field any Real. A bool is neither, so
     ``"epochs": true`` is refused. Fields of other types are not checked."""
@@ -102,4 +142,4 @@ def require_types(section: str, config):
             kind, what = _KINDS[f.type]
             value = getattr(config, f.name)
             if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
-                raise ConfigError(f"{section}.{f.name} must be {what}, got {value!r}")
+                raise error(f"{section}.{f.name} must be {what}, got {value!r}")

@@ -7,10 +7,13 @@ the gradient magnitude, with an absolute floor so near-zero gradients are
 judged on an absolute scale instead of amplifying finite-difference noise.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .errors import UsageError
 
 DEFAULT_STEP = 1e-5
 DEFAULT_TOLERANCE = 1e-4
@@ -247,5 +250,9 @@ def check_module_gradients(seed: int = 0, step: float = DEFAULT_STEP) -> list:
 
 def run_all(seed: int = 0, step: float = DEFAULT_STEP) -> list:
     """Module checks followed by the end-to-end sweep."""
+    if seed < 0:
+        raise UsageError(f"seed must be >= 0, got {seed}")
+    if not (math.isfinite(step) and step > 0):
+        raise UsageError(f"step must be a finite number > 0, got {step}")
     return check_module_gradients(seed, step) + [check_model_gradients(seed, step)]
 

@@ -39,6 +39,8 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.checkpoint_every < 0:
+            raise ConfigError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigError(f"optimizer must be adam or sgd, got {self.optimizer!r}")
 

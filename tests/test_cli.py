@@ -21,6 +21,10 @@ def tree_digest(root: Path) -> str:
     return h.hexdigest()
 
 
+def assert_one_error_line(err: str, field: str):
+    assert err.startswith("error: ") and err.count("\n") == 1 and field in err, err
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """One tiny dataset plus a short training run shared by the read-only tests."""
@@ -88,6 +92,16 @@ class TestTrain:
                      "--epochs", "1", "--lr", lr]) == 2
         assert "learning_rate" in capsys.readouterr().err
         assert not (out / "checkpoint-final.mac").exists()
+
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_negative_checkpoint_every_exits_2(self, workspace, tmp_path, capsys, via_config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train": {"checkpoint_every": -1}}))
+        out = tmp_path / "o"
+        option = ["--config", str(cfg)] if via_config else ["--checkpoint-every", "-1"]
+        assert main(["train", "--data", str(workspace["data"]), "--out", str(out), "--epochs", "1"] + option) == 2
+        assert_one_error_line(capsys.readouterr().err, "checkpoint_every")
+        assert not out.exists()
 
     def test_config_file_with_mismatched_classes_exits_2(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -249,6 +263,25 @@ class TestEvaluatePredictAttn:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
 
+    def test_attn_dump_negative_limit_exits_2(self, workspace, capsys):
+        assert main(["attn-dump", "--data", str(workspace["data"]),
+                     "--checkpoint", str(workspace["checkpoint"]), "--limit", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured.err, "limit")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("n_subsets,code", [(3, 0), (7, 2)])
+    def test_manifest_with_legacy_n_subsets(self, workspace, tmp_path, capsys, n_subsets, code):
+        """Older manifests carry n_subsets: one that matches subset_shapes loads, another is refused."""
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        (data / "manifest.json").write_text(json.dumps({**manifest, "n_subsets": n_subsets}))
+        assert main(["evaluate", "--data", str(data), "--checkpoint", str(workspace["checkpoint"])]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert_one_error_line(err, "n_subsets")
+
     def test_attn_dump_has_no_threshold_flag(self, workspace, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["attn-dump", "--data", str(workspace["data"]),
@@ -264,6 +297,16 @@ class TestGradcheckCommand:
         for label in ("conv2d", "maxpool2", "fc", "lstm_cell", "attention", "loss", "end-to-end"):
             assert f"gradcheck [{label}]: PASS" in out
         assert "overall: PASS" in out
+
+    @pytest.mark.parametrize("flags,field", [
+        (["--step", "0"], "step"), (["--step=-1e-5"], "step"), (["--step", "nan"], "step"),
+        (["--step", "inf"], "step"), (["--seed", "-1"], "seed"),
+    ])
+    def test_invalid_flag_exits_2(self, capsys, flags, field):
+        assert main(["gradcheck"] + flags) == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured.err, field)
+        assert captured.out == ""
 
     def test_failing_check_exits_one(self, capsys, monkeypatch):
         import mrscene.gradcheck as gc

@@ -1,6 +1,7 @@
 """Sample format round-trips, generator determinism, split logic."""
 
 import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -71,13 +72,15 @@ class TestSampleRoundTrip:
 
     def test_truncated_file(self, tmp_path):
         rng = np.random.default_rng(2)
-        sample = random_sample(rng, [(2, 4, 4)], 4)
+        sample = random_sample(rng, [(2, 4, 4), (1, 2, 2)], 4)
         path = tmp_path / "t.mrs"
         write_sample(path, sample)
         data = path.read_bytes()
-        path.write_bytes(data[: len(data) // 2])
-        with pytest.raises(TruncatedFileError):
-            read_sample(path)
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            with pytest.raises(TruncatedFileError) as info:
+                read_sample(path)
+            assert type(info.value) is TruncatedFileError, cut
 
     def test_trailing_garbage(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -94,7 +97,7 @@ class TestSampleRoundTrip:
         path = tmp_path / "m.mrs"
         write_sample(path, sample)
         manifest = DatasetManifest(
-            n_subsets=1, subset_shapes=[(2, 8, 8)], n_classes=4,
+            subset_shapes=[(2, 8, 8)], n_classes=4,
             class_names=["a", "b", "c", "d"], splits={"train": ["m"]},
         )
         with pytest.raises(ManifestMismatchError):
@@ -107,7 +110,7 @@ class TestSampleRoundTrip:
         path = tmp_path / "z.mrs"
         write_sample(path, sample)
         manifest = DatasetManifest(
-            n_subsets=1, subset_shapes=[(2, 4, 4)], n_classes=4,
+            subset_shapes=[(2, 4, 4)], n_classes=4,
             class_names=["a", "b", "c", "d"], splits={"train": ["z"]},
         )
         read_sample(path)  # permissive without a manifest
@@ -190,6 +193,20 @@ class TestGenerator:
     def test_malformed_manifest_raises_format_error(self, raw):
         with pytest.raises(FormatError):
             DatasetManifest.from_json(raw)
+
+    def test_unknown_manifest_key_raises_format_error(self, tmp_path):
+        manifest = generate_synthetic(tmp_path / "d", seed=0, n_samples=2)
+        with pytest.raises(FormatError, match="n_subset"):
+            DatasetManifest.from_json(json.dumps({**json.loads(manifest.to_json()), "n_subset": 3}))
+
+    def test_legacy_n_subsets_must_match_subset_shapes(self, tmp_path):
+        manifest = generate_synthetic(tmp_path / "d", seed=0, n_samples=2)
+        payload = json.loads(manifest.to_json())
+        assert "n_subsets" not in payload
+        assert DatasetManifest.from_json(json.dumps({**payload, "n_subsets": 3})) == manifest
+        for wrong in (7, 2, None, "3"):
+            with pytest.raises(FormatError, match="n_subsets"):
+                DatasetManifest.from_json(json.dumps({**payload, "n_subsets": wrong}))
 
 
 class TestSeparability:

@@ -12,7 +12,7 @@ from mrscene.dataset import DatasetManifest, Sample, read_sample, write_sample
 from mrscene.errors import FormatError
 from mrscene.tensor import Tensor
 
-MANIFEST = DatasetManifest(n_subsets=2, subset_shapes=[(2, 4, 4), (1, 2, 2)], n_classes=3,
+MANIFEST = DatasetManifest(subset_shapes=[(2, 4, 4), (1, 2, 2)], n_classes=3,
                            class_names=["a", "b", "c"], splits={"train": ["s0"], "val": [], "test": []})
 
 
