@@ -150,15 +150,18 @@ def lstm_sequence(x: Tensor, p: LstmParams, reverse: bool = False) -> Tensor:
     return Tensor(out_data, _parents=(x, *leaves), _backward=_bw, _op="lstm_sequence")
 
 
-def bidirectional_pass(descriptors, fwd: LstmParams, bwd: LstmParams) -> list:
-    """Run both directions over the descriptor sequence and concatenate.
+def bidirectional_sequence(x: Tensor, fwd: LstmParams, bwd: LstmParams) -> Tensor:
+    """Both directions over x (R, ..., d_in), each from zero hidden and cell
+    states, concatenated: row r of the (R, ..., 2*hidden) result is
+    [h_forward_r ; h_backward_r]."""
+    return T.concat([lstm_sequence(x, fwd), lstm_sequence(x, bwd, reverse=True)], axis=-1)
 
-    ``descriptors`` is a sequence of tensors (d_in,) or batched (B, d_in).
-    Both directions start from zero hidden and cell states. Element r of
-    the result is [h_forward_r ; h_backward_r], width 2*hidden.
-    """
+
+def bidirectional_pass(descriptors, fwd: LstmParams, bwd: LstmParams) -> list:
+    """List form of :func:`bidirectional_sequence`: ``descriptors`` is a
+    sequence of tensors (d_in,) or batched (B, d_in), and element r of the
+    result is [h_forward_r ; h_backward_r]."""
     descriptors = list(descriptors)
     if not descriptors:
         raise UsageError("bidirectional_pass needs at least one descriptor")
-    x = T.stack(descriptors)
-    return T.unstack(T.concat([lstm_sequence(x, fwd), lstm_sequence(x, bwd, reverse=True)], axis=-1))
+    return T.unstack(bidirectional_sequence(T.stack(descriptors), fwd, bwd))

@@ -25,12 +25,9 @@ from .trainer import TrainConfig, evaluate_model, train
 
 def _parse_fractions(text: str) -> tuple:
     try:
-        parts = tuple(float(p) for p in text.split(","))
+        return tuple(float(p) for p in text.split(","))
     except ValueError as exc:
-        raise UsageError(f"--split must be three comma-separated numbers, got {text!r}") from exc
-    if len(parts) != 3 or abs(sum(parts) - 1.0) > 1e-9 or any(p < 0 for p in parts):
-        raise UsageError(f"--split fractions must be nonnegative and sum to 1, got {text!r}")
-    return parts
+        raise UsageError(f"--split must be comma-separated numbers, got {text!r}") from exc
 
 
 def _load_file_config(path) -> dict:

@@ -222,6 +222,10 @@ def generate_synthetic(
         raise UsageError(f"seed must be >= 0, got {seed}")
     if not (math.isfinite(noise) and noise >= 0):
         raise UsageError(f"noise must be a finite number >= 0, got {noise}")
+    fractions = tuple(split_fractions)
+    if (len(fractions) != 3 or not all(math.isfinite(f) and f >= 0 for f in fractions)
+            or abs(sum(fractions) - 1.0) > 1e-9):
+        raise UsageError(f"split fractions must be three finite numbers >= 0 that sum to 1, got {fractions}")
     if profile not in PROFILES:
         raise ConfigError(f"unknown profile {profile!r}; choose from {sorted(PROFILES)}")
     prof = PROFILES[profile]
@@ -247,7 +251,7 @@ def generate_synthetic(
         write_sample(out / f"{sid}.mrs", Sample(subsets=subsets, labels=labels, id=sid))
         ids.append(sid)
 
-    counts = split_counts(n_samples, split_fractions)
+    counts = split_counts(n_samples, fractions)
     order = rng.permutation(n_samples)
     splits = {}
     start = 0

@@ -65,7 +65,6 @@ class GradcheckReport:
     label: str
     entries: list = field(default_factory=list)
     seconds: float = 0.0
-    tolerance: float = DEFAULT_TOLERANCE
 
     @property
     def max_rel_err(self) -> float:
@@ -73,11 +72,11 @@ class GradcheckReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_rel_err < self.tolerance
+        return self.max_rel_err < DEFAULT_TOLERANCE
 
     def format(self) -> str:
         lines = [f"gradcheck [{self.label}]: {'PASS' if self.passed else 'FAIL'} "
-                 f"(max rel err {self.max_rel_err:.3e}, tol {self.tolerance:.1e}, {self.seconds:.1f}s)"]
+                 f"(max rel err {self.max_rel_err:.3e}, tol {DEFAULT_TOLERANCE:.1e}, {self.seconds:.1f}s)"]
         for e in sorted(self.entries, key=lambda e: -e.max_rel_err):
             mark = "ok  " if e.passed else "FAIL"
             lines.append(f"  {mark} {e.name:<40s} {e.max_rel_err:.3e} ({e.n_elements} elems)")

@@ -102,10 +102,6 @@ class PatchSet:
     per_subset: list
     grid: int
 
-    @property
-    def n_patches(self) -> int:
-        return self.grid * self.grid
-
     def patch(self, r: int, k: int) -> np.ndarray:
         return self.per_subset[k][r]
 

@@ -7,7 +7,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import attention_scores, pool_descriptors
-from .birnn import bidirectional_pass, make_lstm_params
+from .birnn import bidirectional_sequence, make_lstm_params
 from .errors import ConfigError, ShapeError, UsageError, config_kwargs, require_types, shape_triples
 from .head import classify, posteriors
 from .init import xavier_init
@@ -204,10 +204,10 @@ class Model:
             tiles = Tensor(tile(arr, cfg.grid))
             branch_outs.append(branch_forward(tiles, spec, params))  # (R*B, fc_out)
 
-        descriptors = fuse_descriptors(branch_outs, self.fusion)  # (R*B, d_psi)
-        steps = [T.slice_rows(descriptors, r * batch, (r + 1) * batch) for r in range(cfg.n_patches)]
-        enriched = bidirectional_pass(steps, self.lstm_fwd, self.lstm_bwd)  # R x (B, 2*hidden)
-        omega = T.swap_last_axes(T.stack(enriched, axis=1))  # (B, 2*hidden, R): column r is patch r
+        descriptors = fuse_descriptors(branch_outs, self.fusion)  # (R*B, d_psi), patch-major
+        sequence = T.reshape(descriptors, (cfg.n_patches, batch, -1))
+        enriched = bidirectional_sequence(sequence, self.lstm_fwd, self.lstm_bwd)  # (R, B, 2*hidden)
+        omega = T.transpose(enriched, (1, 2, 0))  # (B, 2*hidden, R): column r is patch r
         attn = attention_scores(omega, self.attn_hidden, self.attn_heads)
         pooled = pool_descriptors(omega, attn)
         scores = classify(pooled, self.clf_weight, self.clf_bias)

@@ -450,28 +450,33 @@ def reshape(x: Tensor, shape) -> Tensor:
     return Tensor(out_data, _parents=(x,), _backward=_bw, _op="reshape")
 
 
-def swap_last_axes(x: Tensor) -> Tensor:
-    """Transpose the last two axes (matrix transpose, batched)."""
-    out_data = np.swapaxes(x.data, -1, -2)
+def transpose(x: Tensor, axes) -> Tensor:
+    """Permute the axes of x; ``axes`` is a full permutation, as in np.transpose."""
+    out_data = np.transpose(x.data, axes)
 
     def _bw(g):
-        _accumulate(x, np.swapaxes(g, -1, -2))
+        _accumulate(x, np.transpose(g, np.argsort(axes)))
 
-    return Tensor(out_data, _parents=(x,), _backward=_bw, _op="swap_last_axes")
+    return Tensor(out_data, _parents=(x,), _backward=_bw, _op="transpose")
 
 
-def stack(parts, axis: int = 0) -> Tensor:
-    """Stack equally shaped tensors along a new axis."""
+def swap_last_axes(x: Tensor) -> Tensor:
+    """Transpose the last two axes (matrix transpose, batched)."""
+    return transpose(x, (*range(x.ndim - 2), x.ndim - 1, x.ndim - 2))
+
+
+def stack(parts) -> Tensor:
+    """Stack equally shaped tensors along a new first axis."""
     parts = list(parts)
     if not parts:
         raise ShapeError("stack needs at least one part")
     try:
-        out_data = np.stack([p.data for p in parts], axis=axis)
+        out_data = np.stack([p.data for p in parts])
     except ValueError as exc:
         raise ShapeError(f"stack shapes disagree: {[p.shape for p in parts]}") from exc
 
     def _bw(g):
-        for part, piece in zip(parts, np.moveaxis(g, axis, 0)):
+        for part, piece in zip(parts, g):
             _accumulate(part, piece)
 
     return Tensor(out_data, _parents=tuple(parts), _backward=_bw, _op="stack")

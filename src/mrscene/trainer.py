@@ -149,7 +149,8 @@ def train(model: Model, samples, cfg: TrainConfig, out_dir=None, run_config: dic
 
     Appends the mean per-sample loss of every epoch to the trajectory,
     writes `loss_log.txt` and checkpoints under out_dir when given, and
-    aborts on a non-finite loss.
+    aborts on a non-finite loss or before checkpointing a non-finite
+    parameter.
     """
     cfg.validate()
     if not samples:
@@ -163,6 +164,12 @@ def train(model: Model, samples, cfg: TrainConfig, out_dir=None, run_config: dic
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
+
+    def save(path, epoch):
+        for name, p in model.parameters.items():
+            if not np.isfinite(p.data).all():
+                raise TrainingDivergedError(f"non-finite parameter {name!r} at epoch {epoch}; no checkpoint written")
+        write_checkpoint(path, model.parameters, optimizer.state_entries(), epoch, echo)
 
     for epoch in range(1, cfg.epochs + 1):
         order = _epoch_order(len(samples), cfg.seed, epoch, cfg.shuffle)
@@ -184,12 +191,11 @@ def train(model: Model, samples, cfg: TrainConfig, out_dir=None, run_config: dic
         result.loss_trajectory.append(total_loss / len(samples))
 
         if out is not None and cfg.checkpoint_every and epoch % cfg.checkpoint_every == 0:
-            write_checkpoint(out / f"checkpoint-{epoch:04d}.mac", model.parameters,
-                             optimizer.state_entries(), epoch, echo)
+            save(out / f"checkpoint-{epoch:04d}.mac", epoch)
 
     if out is not None:
         final = out / "checkpoint-final.mac"
-        write_checkpoint(final, model.parameters, optimizer.state_entries(), cfg.epochs, echo)
+        save(final, cfg.epochs)
         result.final_checkpoint = str(final)
         log_lines = [f"{epoch}\t{loss:.8e}" for epoch, loss in enumerate(result.loss_trajectory, start=1)]
         (out / "loss_log.txt").write_text("\n".join(log_lines) + "\n", encoding="utf-8")

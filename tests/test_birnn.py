@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from mrscene import tensor as T
-from mrscene.birnn import LstmParams, bidirectional_pass, lstm_cell, lstm_sequence, make_lstm_params
+from mrscene.birnn import (
+    LstmParams,
+    bidirectional_pass,
+    bidirectional_sequence,
+    lstm_cell,
+    lstm_sequence,
+    make_lstm_params,
+)
 from mrscene.errors import ShapeError, UsageError
 from mrscene.gradcheck import numeric_gradient, relative_error
 from mrscene.tensor import Tensor
@@ -213,6 +220,16 @@ class TestBidirectionalPass:
             T.sum_all(outs[r]).backward()
             for s, x in enumerate(seq):
                 assert x.grad is not None and np.any(x.grad != 0), (r, s)
+
+    def test_batched_sequence_equals_list_form_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        fwd = random_params(rng, 5, 3)
+        bwd = random_params(rng, 5, 3)
+        x = rng.normal(size=(4, 2, 5))  # (R, B, d)
+        whole = bidirectional_sequence(Tensor(x), fwd, bwd)
+        assert whole.shape == (4, 2, 6)
+        parts = bidirectional_pass([Tensor(x[r]) for r in range(4)], fwd, bwd)
+        np.testing.assert_array_equal(whole.data, np.stack([p.data for p in parts]))
 
     def test_empty_sequence_rejected(self):
         rng = np.random.default_rng(7)

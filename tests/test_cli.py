@@ -69,6 +69,13 @@ class TestGenerateData:
         assert "noise" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("split", ["nan,0.5,0.5", "1,1,1", "0.5,0.5"])
+    def test_bad_split_exits_2(self, tmp_path, capsys, split):
+        assert main(["generate-data", "--out", str(tmp_path / "d"), "--seed", "1",
+                     "--n", "10", "--split", split]) == 2
+        assert_one_error_line(capsys.readouterr().err, "split")
+        assert not (tmp_path / "d").exists()
+
 
 class TestTrain:
     def test_writes_logs_and_echoes_config(self, workspace, capsys):
@@ -92,6 +99,13 @@ class TestTrain:
                      "--epochs", "1", "--lr", lr]) == 2
         assert "learning_rate" in capsys.readouterr().err
         assert not (out / "checkpoint-final.mac").exists()
+
+    def test_diverged_training_exits_1_without_checkpoint(self, workspace, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["train", "--data", str(workspace["data"]), "--out", str(out),
+                     "--epochs", "1", "--batch-size", "64", "--lr", "1e39"]) == 1
+        assert_one_error_line(capsys.readouterr().err, "non-finite parameter")
+        assert not list(out.glob("*.mac"))
 
     @pytest.mark.parametrize("via_config", [False, True])
     def test_negative_checkpoint_every_exits_2(self, workspace, tmp_path, capsys, via_config):

@@ -31,7 +31,6 @@ def ben_shaped_subsets(rng):
 class TestSplitPatches:
     def test_bigearthnet_shaped_geometry(self):
         patches = split_patches(ben_shaped_subsets(np.random.default_rng(0)), 16)
-        assert patches.n_patches == 16
         assert patches.per_subset[0].shape == (16, 4, 30, 30)
         assert patches.per_subset[1].shape == (16, 6, 15, 15)
         assert patches.per_subset[2].shape == (16, 2, 5, 5)

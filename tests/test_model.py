@@ -155,14 +155,17 @@ class TestModelForward:
 
     def test_tiny_training_step_graph_is_small(self):
         """Each LSTM direction is one graph node, not R cells of ~21 nodes
-        each: a default tiny step (16 patches) stays within 200 nodes,
-        parameters and inputs included."""
+        each, and the patch sequence stays one (R, B, d) tensor rather than
+        R per-patch slices: a default tiny step (16 patches) stays within
+        120 nodes, parameters and inputs included."""
         shapes = PROFILES["tiny"].subset_shapes
         model = Model(ModelConfig(n_classes=8, subset_shapes=shapes), seed=0)
         rng = np.random.default_rng(0)
         arrays = [rng.normal(size=(2,) + tuple(s)).astype(np.float32) for s in shapes]
         loss = bce_with_logits_loss(model.forward(arrays).scores, np.ones((2, 8)))
-        assert len(T.Graph.trace(loss).nodes) <= 200
+        nodes = T.Graph.trace(loss).nodes
+        assert len(nodes) <= 120
+        assert not {n._op for n in nodes} & {"slice_rows", "stack", "unstack"}
 
     def test_rejects_wrong_subset_shape(self):
         model = Model(small_config(), seed=0)

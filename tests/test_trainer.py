@@ -149,6 +149,16 @@ class TestTrainLoop:
         with pytest.raises(TrainingDivergedError, match=r"epoch 1, batch \d"):
             train(model, samples, TrainConfig(epochs=1, batch_size=2, seed=0))
 
+    @pytest.mark.parametrize("checkpoint_every", [0, 1])
+    def test_non_finite_parameters_are_never_checkpointed(self, tmp_path, checkpoint_every):
+        """One batch per epoch, so no later loss can catch the overflowed step."""
+        model, samples = tiny_model_and_samples(n=4)
+        cfg = TrainConfig(epochs=1, batch_size=4, seed=0, learning_rate=1e39,
+                          checkpoint_every=checkpoint_every)
+        with pytest.raises(TrainingDivergedError, match=r"parameter '.+' at epoch 1"):
+            train(model, samples, cfg, out_dir=tmp_path)
+        assert not list(tmp_path.glob("*.mac"))
+
     def test_invalid_configs_rejected(self):
         model, samples = tiny_model_and_samples(n=2)
         for bad in (TrainConfig(learning_rate=0.0), TrainConfig(learning_rate=float("nan")),
