@@ -9,13 +9,15 @@ import numpy as np
 
 from mrscene import tensor as T
 from mrscene.birnn import bidirectional_pass, lstm_cell, make_lstm_params
+from mrscene.init import ParameterSet
 from mrscene.tensor import Tensor
 
 rng = np.random.default_rng(2)
 
 d_in, hidden, length = 16, 32, 8
-fwd = make_lstm_params(d_in, hidden, seed=0, prefix="demo.fwd", dtype=np.float64)
-bwd = make_lstm_params(d_in, hidden, seed=0, prefix="demo.bwd", dtype=np.float64)
+params = ParameterSet(seed=0, dtype=np.float64)
+fwd = make_lstm_params(d_in, hidden, params, "demo.fwd")
+bwd = make_lstm_params(d_in, hidden, params, "demo.bwd")
 sequence = [Tensor(rng.normal(size=d_in), requires_grad=True) for _ in range(length)]
 
 print("== single cell step ==")

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ShapeError, UsageError
-from .init import xavier_init
+from .init import ParameterSet
 from .tensor import Tensor, _accumulate, _sigmoid
 
 
@@ -37,20 +37,11 @@ class LstmParams:
     def hidden(self) -> int:
         return self.W_f.shape[0]
 
-    def named(self, prefix: str):
-        for gate in "fioc":
-            yield f"{prefix}.W_{gate}", getattr(self, f"W_{gate}")
-            yield f"{prefix}.U_{gate}", getattr(self, f"U_{gate}")
-            yield f"{prefix}.b_{gate}", getattr(self, f"b_{gate}")
 
-
-def make_lstm_params(d_in: int, hidden: int, seed: int, prefix: str, dtype=np.float32) -> LstmParams:
-    kwargs = {}
-    for gate in "fioc":
-        kwargs[f"W_{gate}"] = xavier_init((hidden, d_in), seed, f"{prefix}.W_{gate}", dtype)
-        kwargs[f"U_{gate}"] = xavier_init((hidden, hidden), seed, f"{prefix}.U_{gate}", dtype)
-        kwargs[f"b_{gate}"] = xavier_init((hidden,), seed, f"{prefix}.b_{gate}", dtype)
-    return LstmParams(**kwargs)
+def make_lstm_params(d_in: int, hidden: int, params: ParameterSet, prefix: str) -> LstmParams:
+    shapes = {"W": (hidden, d_in), "U": (hidden, hidden), "b": (hidden,)}
+    return LstmParams(**{f"{kind}_{gate}": params.new(f"{prefix}.{kind}_{gate}", shapes[kind])
+                         for gate in "fioc" for kind in "WUb"})
 
 
 def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor, p: LstmParams) -> tuple:

@@ -87,7 +87,8 @@ def read_checkpoint(path) -> CheckpointData:
 
 
 def load_parameters(model, stored: dict):
-    """Copy stored arrays into the model, verifying names and shapes."""
+    """Copy stored arrays into the model after verifying names, shapes and
+    that every value is finite; a refused checkpoint changes nothing."""
     missing = set(model.parameters) - set(stored)
     extra = set(stored) - set(model.parameters)
     if missing or extra:
@@ -98,4 +99,7 @@ def load_parameters(model, stored: dict):
         value = stored[name]
         if value.shape != tensor.shape:
             raise ConfigError(f"checkpoint entry {name!r} has shape {value.shape}, model expects {tensor.shape}")
-        tensor.data = value.astype(model.dtype)
+        if not np.isfinite(value).all():
+            raise FormatError(f"checkpoint entry {name!r} holds a non-finite value")
+    for name, tensor in model.parameters.items():
+        tensor.data = stored[name].astype(model.dtype)

@@ -240,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference verification of all gradients")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--step", type=float, default=1e-5)
+    p.add_argument("--step", type=float, default=gradcheck_mod.DEFAULT_STEP)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser

@@ -170,6 +170,7 @@ def check_module_gradients(seed: int = 0, step: float = DEFAULT_STEP) -> list:
     from .attention import attention_scores, pool_descriptors
     from .birnn import lstm_cell, lstm_sequence, make_lstm_params
     from .head import bce_with_logits_loss
+    from .init import ParameterSet
     from .tensor import Tensor
 
     rng = np.random.default_rng(seed + 2)
@@ -206,22 +207,23 @@ def check_module_gradients(seed: int = 0, step: float = DEFAULT_STEP) -> list:
         lambda: weighted(T.fc(xf, wf, bf), wfc), {"input": xf, "weight": wf, "bias": bf},
         step=step, label="fc"))
 
-    cell = make_lstm_params(3, 4, seed=seed, prefix="cell", dtype=np.float64)
+    cell_params = ParameterSet(seed, np.float64)
+    cell = make_lstm_params(3, 4, cell_params, "cell")
     xc = Tensor(rng.normal(size=3), requires_grad=True)
     hc = Tensor(rng.normal(size=4), requires_grad=True)
     cc = Tensor(rng.normal(size=4), requires_grad=True)
     wh = Tensor(rng.normal(size=4))
     wcell = Tensor(rng.normal(size=4))
+    cell_params.update({"x": xc, "h_prev": hc, "c_prev": cc})
     # the fused sequence op, both directions, under the same label
-    seq = make_lstm_params(3, 4, seed=seed, prefix="sequence", dtype=np.float64)
-    for _, t in seq.named("sequence"):
+    seq_params = ParameterSet(seed, np.float64)
+    seq = make_lstm_params(3, 4, seq_params, "sequence")
+    for t in seq_params.values():
         t.data += rng.uniform(-0.1, 0.1, size=t.shape)  # biases start at zero
     xseq = Tensor(rng.normal(size=(3, 2, 3)), requires_grad=True)
     wfwd = Tensor(rng.normal(size=(3, 2, 4)))
     wrev = Tensor(rng.normal(size=(3, 2, 4)))
-    cell_params = dict(cell.named("cell"))
-    cell_params.update({"x": xc, "h_prev": hc, "c_prev": cc})
-    cell_params.update(seq.named("sequence"))
+    cell_params.update(seq_params)
     cell_params["sequence input"] = xseq
 
     def lstm_loss():

@@ -45,7 +45,7 @@ def bce_with_logits_loss(scores: Tensor, targets) -> Tensor:
     return Tensor(out_data, _parents=(scores,), _backward=_bw, _op="bce_with_logits")
 
 
-def predict(probs, threshold: float = 0.5) -> np.ndarray:
+def predict(probs, threshold: float) -> np.ndarray:
     """Binary label vector: 1 where probability >= threshold."""
     if not 0.0 < threshold < 1.0:
         raise ConfigError(f"threshold must lie in (0, 1), got {threshold}")

@@ -4,6 +4,7 @@ import zlib
 
 import numpy as np
 
+from .errors import ConfigError
 from .tensor import Tensor
 
 
@@ -31,3 +32,19 @@ def xavier_init(shape, seed: int, name: str, dtype=np.float32) -> Tensor:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, zlib.crc32(name.encode())])))
     values = rng.uniform(-bound, bound, size=shape).astype(dtype)
     return Tensor(values, requires_grad=True)
+
+
+class ParameterSet(dict):
+    """A model's trainable tensors by checkpoint name; ``new`` keys each
+    tensor's Xavier stream by that same name."""
+
+    def __init__(self, seed: int, dtype=np.float32):
+        super().__init__()
+        self.seed = seed
+        self.dtype = dtype
+
+    def new(self, name: str, shape) -> Tensor:
+        if name in self:
+            raise ConfigError(f"duplicate parameter name {name!r}")
+        self[name] = xavier_init(shape, self.seed, name, self.dtype)
+        return self[name]

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ShapeError
-from .init import xavier_init
+from .init import ParameterSet
 from .tensor import Tensor
 
 
@@ -136,9 +136,9 @@ class FcParams:
     weight: Tensor
     bias: Tensor
 
-    def named(self, prefix: str):
-        yield f"{prefix}.weight", self.weight
-        yield f"{prefix}.bias", self.bias
+    @classmethod
+    def new(cls, params: ParameterSet, prefix: str, n_out: int, n_in: int) -> "FcParams":
+        return cls(params.new(f"{prefix}.weight", (n_out, n_in)), params.new(f"{prefix}.bias", (n_out,)))
 
 
 @dataclass
@@ -147,29 +147,19 @@ class BranchParams:
     conv_biases: list = field(default_factory=list)
     fc: FcParams = None
 
-    def named(self, prefix: str):
-        for i, (k, b) in enumerate(zip(self.conv_kernels, self.conv_biases)):
-            yield f"{prefix}.conv{i}.kernels", k
-            yield f"{prefix}.conv{i}.bias", b
-        yield from self.fc.named(f"{prefix}.fc")
-
 
 def make_branch_params(spec: BranchSpec, in_bands: int, in_h: int, in_w: int,
-                       seed: int, prefix: str, dtype=np.float32) -> BranchParams:
-    params = BranchParams()
+                       params: ParameterSet, prefix: str) -> BranchParams:
+    branch = BranchParams()
     channels = in_bands
     for i, layer in enumerate(spec.layers):
         shape = (layer.filters, channels, layer.kernel, layer.kernel)
-        params.conv_kernels.append(xavier_init(shape, seed, f"{prefix}.conv{i}.kernels", dtype))
-        params.conv_biases.append(xavier_init((layer.filters,), seed, f"{prefix}.conv{i}.bias", dtype))
+        branch.conv_kernels.append(params.new(f"{prefix}.conv{i}.kernels", shape))
+        branch.conv_biases.append(params.new(f"{prefix}.conv{i}.bias", (layer.filters,)))
         channels = layer.filters
     h, w = spec.spatial_trace(in_h, in_w)[-1]
-    flat = channels * h * w
-    params.fc = FcParams(
-        weight=xavier_init((spec.fc_out, flat), seed, f"{prefix}.fc.weight", dtype),
-        bias=xavier_init((spec.fc_out,), seed, f"{prefix}.fc.bias", dtype),
-    )
-    return params
+    branch.fc = FcParams.new(params, f"{prefix}.fc", spec.fc_out, channels * h * w)
+    return branch
 
 
 def branch_forward(x: Tensor, spec: BranchSpec, params: BranchParams) -> Tensor:

@@ -10,7 +10,7 @@ from .attention import attention_scores, pool_descriptors
 from .birnn import bidirectional_sequence, make_lstm_params
 from .errors import ConfigError, ShapeError, UsageError, config_kwargs, require_types, shape_triples
 from .head import classify, posteriors
-from .init import xavier_init
+from .init import ParameterSet
 from .kbranch import (
     BranchSpec,
     ConvLayerSpec,
@@ -136,47 +136,23 @@ class Model:
     def __init__(self, config: ModelConfig, seed: int = 0, dtype=np.float32):
         self.config = config
         self.dtype = dtype
-        self.parameters = {}
+        self.parameters = params = ParameterSet(seed, dtype)
 
-        self.branch_params = []
-        for k, spec in enumerate(config.branches):
-            bands, ph, pw = config.patch_shape(k)
-            params = make_branch_params(spec, bands, ph, pw, seed, f"branch{k}", dtype)
-            self.branch_params.append(params)
-            self._register(params.named(f"branch{k}"))
-
+        self.branch_params = [
+            make_branch_params(spec, *config.patch_shape(k), params, f"branch{k}")
+            for k, spec in enumerate(config.branches)
+        ]
         total_branch_out = sum(spec.fc_out for spec in config.branches)
-        self.fusion = FcParams(
-            weight=xavier_init((config.descriptor_width, total_branch_out), seed, "fusion.weight", dtype),
-            bias=xavier_init((config.descriptor_width,), seed, "fusion.bias", dtype),
-        )
-        self._register(self.fusion.named("fusion"))
-
+        self.fusion = FcParams.new(params, "fusion", config.descriptor_width, total_branch_out)
         self.lstm_fwd, self.lstm_bwd = (
-            make_lstm_params(config.descriptor_width, config.hidden_width, seed, prefix, dtype)
+            make_lstm_params(config.descriptor_width, config.hidden_width, params, prefix)
             for prefix in ("lstm.fwd", "lstm.bwd")
         )
-        self._register(self.lstm_fwd.named("lstm.fwd"))
-        self._register(self.lstm_bwd.named("lstm.bwd"))
-
-        self.attn_hidden = xavier_init(
-            (config.attention_width, config.sequence_width), seed, "attention.hidden", dtype
-        )
-        self.attn_heads = xavier_init(
-            (config.attention_heads, config.attention_width), seed, "attention.heads", dtype
-        )
-        self._register([("attention.hidden", self.attn_hidden), ("attention.heads", self.attn_heads)])
-
+        self.attn_hidden = params.new("attention.hidden", (config.attention_width, config.sequence_width))
+        self.attn_heads = params.new("attention.heads", (config.attention_heads, config.attention_width))
         clf_in = config.sequence_width * config.attention_heads
-        self.clf_weight = xavier_init((config.n_classes, clf_in), seed, "classifier.weight", dtype)
-        self.clf_bias = xavier_init((config.n_classes,), seed, "classifier.bias", dtype)
-        self._register([("classifier.weight", self.clf_weight), ("classifier.bias", self.clf_bias)])
-
-    def _register(self, named):
-        for name, tensor in named:
-            if name in self.parameters:
-                raise ConfigError(f"duplicate parameter name {name!r}")
-            self.parameters[name] = tensor
+        self.clf_weight = params.new("classifier.weight", (config.n_classes, clf_in))
+        self.clf_bias = params.new("classifier.bias", (config.n_classes,))
 
     def zero_grad(self):
         for p in self.parameters.values():

@@ -9,13 +9,12 @@ import numpy as np
 from .checkpoint import write_checkpoint
 from .errors import ConfigError, TrainingDivergedError, config_kwargs, require_types
 from .head import bce_with_logits_loss, predict
-from .init import xavier_init  # re-exported: initialization belongs to training
 from .metrics import MetricsReport, aggregate
 from .model import Model
 
 __all__ = [
     "TrainConfig", "TrainResult", "Adam", "Sgd", "make_optimizer",
-    "train", "evaluate_model", "moving_average", "xavier_init",
+    "train", "evaluate_model", "moving_average",
 ]
 
 
@@ -64,6 +63,8 @@ class Adam:
         self.m = {}
         self.v = {}
 
+    # a step that overflows is reported by train()'s finiteness checks, not by numpy warnings
+    @np.errstate(over="ignore", invalid="ignore")
     def step(self, parameters: dict):
         self.step_count += 1
         t = self.step_count
@@ -108,6 +109,7 @@ class Sgd:
         self.learning_rate = learning_rate
         self.step_count = 0
 
+    @np.errstate(over="ignore", invalid="ignore")
     def step(self, parameters: dict):
         self.step_count += 1
         for name, p in parameters.items():
@@ -202,7 +204,10 @@ def train(model: Model, samples, cfg: TrainConfig, out_dir=None, run_config: dic
     return result
 
 
-def evaluate_model(model: Model, samples, threshold: float = 0.5, batch_size: int = 32) -> MetricsReport:
+def evaluate_model(model: Model, samples, threshold: float = None, batch_size: int = 32) -> MetricsReport:
+    """Example-based metrics at ``threshold``, by default the model's own."""
+    if threshold is None:
+        threshold = model.config.threshold
     probs = model.predict_probabilities(samples, batch_size)
     pairs = [(s.labels, predict(probs[i], threshold)) for i, s in enumerate(samples)]
     return aggregate(pairs)

@@ -132,7 +132,7 @@ class TestLstmSequence:
         p = random_params(rng, 5, 3, dtype)
         x = Tensor(rng.normal(size=(steps, batch, 5)).astype(dtype), requires_grad=True)
         weights = Tensor(rng.normal(size=(steps, batch, 3)).astype(dtype))
-        leaves = dict(p.named("p"), x=x)
+        leaves = dict(vars(p), x=x)
         tol = 1e-12 if dtype == np.float64 else 16 * np.finfo(np.float32).eps
 
         results = []
@@ -243,8 +243,8 @@ class TestBidirectionalPass:
         bwd = random_params(rng, 3, 2)
         seq_data = rng.normal(size=(3, 3))
         weights = Tensor(rng.normal(size=(3, 4)))
-        leaves = {f"fwd.{n}": t for n, t in fwd.named("fwd")}
-        leaves.update({f"bwd.{n}": t for n, t in bwd.named("bwd")})
+        leaves = {f"fwd.{n}": t for n, t in vars(fwd).items()}
+        leaves.update({f"bwd.{n}": t for n, t in vars(bwd).items()})
 
         def loss_fn():
             seq = [Tensor(seq_data[i]) for i in range(3)]

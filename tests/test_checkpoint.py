@@ -103,6 +103,20 @@ class TestErrors:
         with pytest.raises(ConfigError):
             load_parameters(FakeModel(renamed), read_checkpoint(path).params)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_refused_before_any_copy(self, tmp_path, bad):
+        rng = np.random.default_rng(6)
+        params = some_params(rng)
+        params["scalarish"].data[0] = bad
+        path = tmp_path / "ck.mac"
+        write_checkpoint(path, params, {}, 0, {})
+        target = some_params(np.random.default_rng(7))
+        before = {name: t.data.copy() for name, t in target.items()}
+        with pytest.raises(FormatError, match="'scalarish'"):
+            load_parameters(FakeModel(target), read_checkpoint(path).params)
+        for name, t in target.items():
+            np.testing.assert_array_equal(t.data, before[name])
+
     def test_hand_built_file_parses(self, tmp_path):
         path = tmp_path / "ok.mac"
         path.write_bytes(raw_checkpoint(echo=b'{"model": {}}'))

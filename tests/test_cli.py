@@ -2,8 +2,11 @@
 
 import hashlib
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +109,18 @@ class TestTrain:
                      "--epochs", "1", "--batch-size", "64", "--lr", "1e39"]) == 1
         assert_one_error_line(capsys.readouterr().err, "non-finite parameter")
         assert not list(out.glob("*.mac"))
+
+    def test_diverged_training_prints_only_its_error_line(self, workspace, tmp_path):
+        """In a fresh interpreter with default warning filters, the
+        overflowing optimizer step adds no numpy warning to stderr."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mrscene.cli", "train", "--data", str(workspace["data"]),
+             "--out", str(tmp_path / "o"), "--epochs", "1", "--batch-size", "64", "--lr", "1e39"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 1
+        assert_one_error_line(proc.stderr, "non-finite parameter")
 
     @pytest.mark.parametrize("via_config", [False, True])
     def test_negative_checkpoint_every_exits_2(self, workspace, tmp_path, capsys, via_config):
@@ -230,6 +245,20 @@ class TestEvaluatePredictAttn:
         assert main(["evaluate", "--data", str(other),
                      "--checkpoint", str(workspace["checkpoint"])]) == 2
         assert "n_classes" in capsys.readouterr().err
+
+    def test_checkpoint_with_non_finite_value_exits_2(self, workspace, tmp_path, capsys):
+        from mrscene.checkpoint import read_checkpoint, write_checkpoint
+        from mrscene.tensor import Tensor
+
+        stored = read_checkpoint(workspace["checkpoint"])
+        stored.params["classifier.bias"][1] = np.nan
+        bad = tmp_path / "nan.mac"
+        write_checkpoint(bad, {name: Tensor(v) for name, v in stored.params.items()},
+                         stored.optimizer_state, stored.epoch, stored.config)
+        assert main(["evaluate", "--data", str(workspace["data"]), "--checkpoint", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured.err, "'classifier.bias'")
+        assert captured.out == ""
 
     def test_corrupt_checkpoint_exits_2(self, workspace, tmp_path, capsys):
         bad = tmp_path / "bad.mac"

@@ -5,6 +5,7 @@ import pytest
 
 from mrscene.errors import ConfigError, ShapeError
 from mrscene.gradcheck import numeric_gradient, relative_error
+from mrscene.init import ParameterSet
 from mrscene.kbranch import (
     BranchSpec,
     ConvLayerSpec,
@@ -125,29 +126,30 @@ class TestBranchForward:
     def test_output_width_is_fc_out_regardless_of_content(self):
         rng = np.random.default_rng(3)
         spec = self.small_spec()
-        params = make_branch_params(spec, 2, 6, 6, seed=0, prefix="br")
+        params = make_branch_params(spec, 2, 6, 6, ParameterSet(seed=0), "br")
         for _ in range(3):
             out = branch_forward(Tensor(rng.normal(size=(2, 6, 6)).astype(np.float32)), spec, params)
             assert out.shape == (5,)
 
     def test_zero_parameters_give_zero_fc_bias(self):
         spec = self.small_spec()
-        params = make_branch_params(spec, 2, 6, 6, seed=0, prefix="br")
-        for _, t in params.named("br"):
+        leaves = ParameterSet(seed=0)
+        params = make_branch_params(spec, 2, 6, 6, leaves, "br")
+        for t in leaves.values():
             t.data[...] = 0.0
         out = branch_forward(Tensor(np.random.default_rng(4).normal(size=(2, 6, 6))), spec, params)
         np.testing.assert_array_equal(out.data, params.fc.bias.data)
 
     def test_band_count_mismatch(self):
         spec = self.small_spec(bands=2)
-        params = make_branch_params(spec, 2, 6, 6, seed=0, prefix="br")
+        params = make_branch_params(spec, 2, 6, 6, ParameterSet(seed=0), "br")
         with pytest.raises(ShapeError):
             branch_forward(Tensor(np.zeros((3, 6, 6))), spec, params)
 
     def test_batched_matches_per_patch(self):
         rng = np.random.default_rng(5)
         spec = self.small_spec()
-        params = make_branch_params(spec, 2, 6, 6, seed=1, prefix="br")
+        params = make_branch_params(spec, 2, 6, 6, ParameterSet(seed=1), "br")
         stack = rng.normal(size=(4, 2, 6, 6)).astype(np.float32)
         batched = branch_forward(Tensor(stack), spec, params).data
         for i in range(4):
@@ -159,10 +161,10 @@ class TestBranchForward:
     def test_gradcheck(self):
         rng = np.random.default_rng(6)
         spec = self.small_spec()
-        params = make_branch_params(spec, 2, 6, 6, seed=2, prefix="br", dtype=np.float64)
+        named = ParameterSet(seed=2, dtype=np.float64)
+        params = make_branch_params(spec, 2, 6, 6, named, "br")
         x = rng.normal(size=(2, 6, 6))
         mix = Tensor(rng.normal(size=5))
-        named = dict(params.named("br"))
 
         def loss_fn():
             return T.sum_all(T.mul(branch_forward(Tensor(x), spec, params), mix))
@@ -213,7 +215,7 @@ class TestPatchPermutationSharing:
         and leaves every other descriptor untouched."""
         rng = np.random.default_rng(10)
         spec = BranchSpec(["b", "b"], [ConvLayerSpec(3, 4)], fc_out=6)
-        params = make_branch_params(spec, 2, 4, 4, seed=3, prefix="br")
+        params = make_branch_params(spec, 2, 4, 4, ParameterSet(seed=3), "br")
         fusion = FcParams(weight=Tensor(rng.normal(size=(5, 6)).astype(np.float32)),
                           bias=Tensor(np.zeros(5, np.float32)))
         patches = [rng.normal(size=(2, 4, 4)).astype(np.float32) for _ in range(4)]

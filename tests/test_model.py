@@ -14,6 +14,7 @@ from mrscene.birnn import bidirectional_pass
 from mrscene.dataset import PROFILES, Sample
 from mrscene.errors import ConfigError, ShapeError, UsageError
 from mrscene.head import bce_with_logits_loss, classify
+from mrscene.init import ParameterSet, xavier_init
 from mrscene.kbranch import BranchSpec, ConvLayerSpec, branch_forward, fuse_descriptors, split_patches
 from mrscene.model import Model, ModelConfig
 from mrscene.tensor import Tensor
@@ -204,6 +205,25 @@ class TestModelForward:
         assert list(m1.parameters) == list(m2.parameters)
         for name, p in m1.parameters.items():
             np.testing.assert_array_equal(p.data, m2.parameters[name].data)
+
+    @pytest.mark.parametrize("profile,dtype", [("tiny", np.float32), ("bigearthnet-shaped", np.float32),
+                                               ("small", np.float64)])
+    def test_every_parameter_is_drawn_under_its_own_name(self, profile, dtype):
+        """The name a parameter is stored under is the one keying its Xavier stream."""
+        config = small_config() if profile == "small" else ModelConfig(
+            n_classes=5, subset_shapes=PROFILES[profile].subset_shapes)
+        model = Model(config, seed=3, dtype=dtype)
+        for name, p in model.parameters.items():
+            expected = xavier_init(p.shape, 3, name, dtype).data
+            assert p.data.dtype == dtype
+            np.testing.assert_array_equal(p.data, expected, err_msg=name)
+
+    def test_duplicate_parameter_name_is_refused(self):
+        params = ParameterSet(seed=0)
+        first = params.new("layer.weight", (3, 2))
+        with pytest.raises(ConfigError, match="layer.weight"):
+            params.new("layer.weight", (3, 2))
+        assert params["layer.weight"] is first and len(params) == 1
 
     def test_k1_r1_reduces_to_plain_cnn(self):
         """One branch, one patch: the whole pipeline is a CNN over the image

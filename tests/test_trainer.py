@@ -7,10 +7,11 @@ import pytest
 
 from mrscene.dataset import PROFILES, Sample
 from mrscene.errors import ConfigError, TrainingDivergedError
+from mrscene.init import xavier_init
 from mrscene.kbranch import BranchSpec, ConvLayerSpec
 from mrscene.model import Model, ModelConfig
 from mrscene.tensor import Tensor
-from mrscene.trainer import Adam, Sgd, TrainConfig, evaluate_model, moving_average, train, xavier_init
+from mrscene.trainer import Adam, Sgd, TrainConfig, evaluate_model, moving_average, train
 
 
 class TestXavierInit:
@@ -193,6 +194,17 @@ class TestTrainLoop:
         report = evaluate_model(model, samples, threshold=0.5)
         assert report.n_samples == 6
         assert 0.0 <= report.f1 <= 1.0
+
+    def test_evaluate_model_defaults_to_the_model_threshold(self):
+        """Every posterior is 0.4: positive at the model's 0.3, negative at 0.5."""
+        model, samples = tiny_model_and_samples(n=6)
+        model.config.threshold = 0.3
+        model.clf_weight.data[...] = 0.0
+        model.clf_bias.data[...] = np.log(0.4 / 0.6)
+        report = evaluate_model(model, samples)
+        assert report == evaluate_model(model, samples, threshold=0.3)
+        assert report.recall == 1.0
+        assert evaluate_model(model, samples, threshold=0.5).recall == 0.0
 
     def test_epoch_order_is_seeded(self):
         from mrscene.trainer import _epoch_order
