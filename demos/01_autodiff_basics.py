@@ -30,7 +30,8 @@ a = Tensor(np.array(3.0), requires_grad=True)
 print(f"d(a+a)/da = {a.grad} (two paths, one tensor)")
 
 print("\n== convolution with 'same' zero padding ==")
-# conv2d and maxpool2 take batches (N, C, H, W); here a batch of one image
+# conv2d and maxpool2 take batches (N, C, H, W); here a batch of one image.
+# conv2d includes its ReLU: every output is max(0, correlation + bias)
 image = Tensor(np.ones((1, 1, 3, 3), np.float32))
 kernel = Tensor(np.ones((1, 1, 3, 3), np.float32))
 out = T.conv2d(image, kernel, Tensor(np.zeros(1, np.float32)))

@@ -17,7 +17,7 @@ from . import gradcheck as gradcheck_mod
 from .checkpoint import load_parameters, read_checkpoint
 from .dataset import DatasetManifest, generate_synthetic, load_split
 from .errors import ConfigError, FormatError, MrsceneError, UsageError, json_object
-from .head import predict
+from .head import check_threshold, predict
 from .model import Model, ModelConfig
 from .tensor import no_grad
 from .trainer import TrainConfig, evaluate_model, train
@@ -136,8 +136,8 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     manifest = _load_manifest(args.data)
     model, data = _model_from_checkpoint(args.checkpoint, manifest)
+    threshold = model.config.threshold if args.threshold is None else check_threshold(args.threshold)
     samples = _load_samples(manifest, args.split, args.data)
-    threshold = model.config.threshold if args.threshold is None else args.threshold
     report = evaluate_model(model, samples, threshold=threshold, batch_size=args.batch_size)
     print(_format_echo(data.config))
     print(f"split: {args.split}  threshold: {threshold}")
@@ -149,8 +149,8 @@ def cmd_evaluate(args) -> int:
 def cmd_predict(args) -> int:
     manifest = _load_manifest(args.data)
     model, data = _model_from_checkpoint(args.checkpoint, manifest)
+    threshold = model.config.threshold if args.threshold is None else check_threshold(args.threshold)
     samples = _load_samples(manifest, args.split, args.data)
-    threshold = model.config.threshold if args.threshold is None else args.threshold
     probs = model.predict_probabilities(samples, args.batch_size)
     print(_format_echo(data.config))
     for i, sample in enumerate(samples):

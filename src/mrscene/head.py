@@ -45,9 +45,15 @@ def bce_with_logits_loss(scores: Tensor, targets) -> Tensor:
     return Tensor(out_data, _parents=(scores,), _backward=_bw, _op="bce_with_logits")
 
 
-def predict(probs, threshold: float) -> np.ndarray:
-    """Binary label vector: 1 where probability >= threshold."""
+def check_threshold(threshold: float) -> float:
+    """The threshold itself if it lies in (0, 1); ConfigError otherwise."""
     if not 0.0 < threshold < 1.0:
         raise ConfigError(f"threshold must lie in (0, 1), got {threshold}")
+    return threshold
+
+
+def predict(probs, threshold: float) -> np.ndarray:
+    """Binary label vector: 1 where probability >= threshold."""
+    check_threshold(threshold)
     p = probs.data if isinstance(probs, Tensor) else np.asarray(probs)
     return (p >= threshold).astype(np.uint8)

@@ -9,7 +9,7 @@ from . import tensor as T
 from .attention import attention_scores, pool_descriptors
 from .birnn import bidirectional_sequence, make_lstm_params
 from .errors import ConfigError, ShapeError, UsageError, config_kwargs, require_types, shape_triples
-from .head import classify, posteriors
+from .head import check_threshold, classify, posteriors
 from .init import ParameterSet
 from .kbranch import (
     BranchSpec,
@@ -74,8 +74,7 @@ class ModelConfig:
             )
         if self.per_position_lstm:
             raise ConfigError("per_position_lstm must be false: each LSTM direction has one weight set")
-        if not 0.0 < self.threshold < 1.0:
-            raise ConfigError(f"threshold must lie in (0, 1), got {self.threshold}")
+        check_threshold(self.threshold)
         for name in ("n_classes", "descriptor_width", "hidden_width", "attention_heads", "attention_width"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")

@@ -12,6 +12,7 @@ float64 (gradient checking). The dtype of an operation's result follows
 numpy promotion of its inputs.
 """
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -149,8 +150,14 @@ def _coerce(value, dtype) -> Tensor:
     return Tensor(np.asarray(value, dtype=dtype))
 
 
-def _accumulate(t: Tensor, g: np.ndarray):
+def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False):
+    """Add g into t's gradient. An ``owned`` g is a fresh array of t's shape
+    that nothing else holds: when t has no gradient yet and g has t's dtype,
+    g becomes t.grad itself, with no zeroed copy."""
     if not t.requires_grad:
+        return
+    if t.grad is None and owned and g.dtype == t.dtype:
+        t.grad = g
         return
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
@@ -272,8 +279,25 @@ def _live_taps(k: int, size: int) -> tuple:
     return lo, hi, before - lo, after - (k - hi)
 
 
+_scratch_bytes = np.empty(0, np.uint8)
+
+
+def _scratch(shape, dtype) -> np.ndarray:
+    """An uninitialised ``shape`` array viewing one process-wide byte buffer,
+    which grows to the largest request seen and is never shrunk.
+
+    The view is valid only until the next call: each user fills it and is
+    done with it before any other op runs. This assumes a single thread.
+    """
+    global _scratch_bytes
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    if _scratch_bytes.size < nbytes:
+        _scratch_bytes = np.empty(nbytes, np.uint8)
+    return _scratch_bytes[:nbytes].view(dtype).reshape(shape)
+
+
 def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
-    """2-d cross-correlation with stride 1 and "same" zero padding.
+    """ReLU of a 2-d cross-correlation with stride 1 and "same" zero padding.
 
     x: (N, Cin, H, W); kernels: (Cout, Cin, kh, kw); bias: (Cout,). Output
     spatial size equals input spatial size. Even kernels pad one extra
@@ -283,7 +307,10 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     (Cin, Hp, Wp, N) buffer, so each im2col tap copy and each col2im add
     moves contiguous runs of W*N values, and the (Cout, H, W, N) product is
     returned as an (N, Cout, H, W) view. Kernel rows and columns that only
-    ever see padding (a kernel larger than its map) are skipped.
+    ever see padding (a kernel larger than its map) are skipped. The im2col
+    matrix lives in the scratch buffer: only the padded input is kept for
+    the backward, which rebuilds the matrix there for the kernel gradient
+    and then overwrites it with the patch-matrix gradient.
     """
     if kernels.ndim != 4:
         raise ShapeError(f"conv2d kernels must be 4-d, got {kernels.shape}")
@@ -303,32 +330,38 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     padded = (cin, h + pt + pb, w + pl + pr, n)
     xpad = np.zeros(padded, dtype=x.dtype)
     xpad[:, pt : pt + h, pl : pl + w] = x.data.transpose(1, 2, 3, 0)
-    cols = np.empty((cin, th, tw, h, w, n), dtype=x.dtype)
-    for i in range(th):
-        for j in range(tw):
-            cols[:, i, j] = xpad[:, i : i + h, j : j + w]
-    cols = cols.reshape(cin * th * tw, h * w * n)
+
+    def im2col():
+        cols = _scratch((cin, th, tw, h, w, n), x.dtype)
+        for i in range(th):
+            for j in range(tw):
+                cols[:, i, j] = xpad[:, i : i + h, j : j + w]
+        return cols.reshape(cin * th * tw, h * w * n)
+
     kmat = kernels.data[:, :, i0:i1, j0:j1].reshape(cout, cin * th * tw)
-    out = kmat @ cols
+    out = kmat @ im2col()
     out += bias.data[:, None]
-    out_data = out.reshape(cout, h, w, n).transpose(3, 0, 1, 2)
+    np.maximum(out, 0, out=out)
+    out = out.reshape(cout, h, w, n)
 
     def _bw(g):
-        g2 = np.ascontiguousarray(g.transpose(1, 2, 3, 0)).reshape(cout, h * w * n)
+        g2 = np.multiply(g.transpose(1, 2, 3, 0), out > 0).reshape(cout, h * w * n)
         _accumulate(bias, g2.sum(axis=1))
         if kernels.requires_grad:
-            gk = np.zeros_like(kernels.data)
-            gk[:, :, i0:i1, j0:j1] = (g2 @ cols.T).reshape(cout, cin, th, tw)
-            _accumulate(kernels, gk)
+            gk = (g2 @ im2col().T).reshape(cout, cin, th, tw)
+            if (th, tw) != (kh, kw):
+                gk = np.pad(gk, ((0, 0), (0, 0), (i0, kh - i1), (j0, kw - j1)))
+            _accumulate(kernels, gk, owned=True)
         if x.requires_grad:
-            gcols = (kmat.T @ g2).reshape(cin, th, tw, h, w, n)
+            gcols = np.matmul(kmat.T, g2, out=_scratch((cin * th * tw, h * w * n), g2.dtype))
+            gcols = gcols.reshape(cin, th, tw, h, w, n)
             gxpad = np.zeros(padded, dtype=x.dtype)
             for i in range(th):
                 for j in range(tw):
                     gxpad[:, i : i + h, j : j + w] += gcols[:, i, j]
-            _accumulate(x, gxpad[:, pt : pt + h, pl : pl + w].transpose(3, 0, 1, 2))
+            _accumulate(x, gxpad[:, pt : pt + h, pl : pl + w].transpose(3, 0, 1, 2), owned=True)
 
-    return Tensor(out_data, _parents=(x, kernels, bias), _backward=_bw, _op="conv2d")
+    return Tensor(out.transpose(3, 0, 1, 2), _parents=(x, kernels, bias), _backward=_bw, _op="conv2d")
 
 
 def _quadrants(a: np.ndarray, h2: int, w2: int) -> list:
@@ -352,14 +385,18 @@ def maxpool2(x: Tensor) -> Tensor:
     out_data = np.maximum(np.maximum(q00, q01), np.maximum(q10, q11))
 
     def _bw(g):
-        gx = np.zeros_like(x.data)
+        # the four quadrant writes cover every element but a trailing odd
+        # row/column, which gets no gradient
+        gx = np.empty_like(x.data)
+        gx[:, :, 2 * h2 :] = 0
+        gx[:, :, :, 2 * w2 :] = 0
         free = np.ones_like(out_data, dtype=bool)  # windows whose max is not yet routed
         for q, gq in zip(_quadrants(x.data, h2, w2), _quadrants(gx, h2, w2)):
             hit = np.equal(q, out_data)
             hit &= free
             np.multiply(g, hit, out=gq)
             free ^= hit
-        _accumulate(x, gx)
+        _accumulate(x, gx, owned=True)
 
     return Tensor(out_data, _parents=(x,), _backward=_bw, _op="maxpool2")
 

@@ -209,9 +209,13 @@ class TestEvaluatePredictAttn:
         assert lines and all(l.split("\t")[1] == "<none>" for l in lines)
 
     def test_predict_threshold_out_of_range_exits_2(self, workspace, capsys):
-        assert main(["predict", "--data", str(workspace["data"]),
-                     "--checkpoint", str(workspace["checkpoint"]), "--threshold", "1.5"]) == 2
-        capsys.readouterr()
+        """predict and evaluate check --threshold before printing anything."""
+        for command in ("predict", "evaluate"):
+            for threshold in ("1.5", "0", "nan"):
+                assert main([command, "--data", str(workspace["data"]),
+                             "--checkpoint", str(workspace["checkpoint"]), "--threshold", threshold]) == 2
+                captured = capsys.readouterr()
+                assert captured.out == "" and "threshold" in captured.err
 
     def test_attn_dump_rows_sum_to_one(self, workspace, capsys):
         assert main(["attn-dump", "--data", str(workspace["data"]),

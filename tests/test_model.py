@@ -156,17 +156,19 @@ class TestModelForward:
 
     def test_tiny_training_step_graph_is_small(self):
         """Each LSTM direction is one graph node, not R cells of ~21 nodes
-        each, and the patch sequence stays one (R, B, d) tensor rather than
-        R per-patch slices: a default tiny step (16 patches) stays within
-        120 nodes, parameters and inputs included."""
+        each, the patch sequence stays one (R, B, d) tensor rather than R
+        per-patch slices, and each conv carries its own ReLU: a default tiny
+        step (16 patches) stays within 108 nodes, parameters and inputs
+        included."""
         shapes = PROFILES["tiny"].subset_shapes
         model = Model(ModelConfig(n_classes=8, subset_shapes=shapes), seed=0)
         rng = np.random.default_rng(0)
         arrays = [rng.normal(size=(2,) + tuple(s)).astype(np.float32) for s in shapes]
         loss = bce_with_logits_loss(model.forward(arrays).scores, np.ones((2, 8)))
         nodes = T.Graph.trace(loss).nodes
-        assert len(nodes) <= 120
+        assert len(nodes) <= 108
         assert not {n._op for n in nodes} & {"slice_rows", "stack", "unstack"}
+        assert not any(p._op == "conv2d" for n in nodes if n._op == "relu" for p in n._parents)
 
     def test_rejects_wrong_subset_shape(self):
         model = Model(small_config(), seed=0)

@@ -1,5 +1,7 @@
 """Autodiff engine: forward values, backward rules, graph invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -104,7 +106,7 @@ class TestConv2d:
         x = T.Tensor(RNG(3).normal(size=(2, 1, 5, 6)).astype(np.float32))
         k = T.Tensor(np.ones((1, 1, 1, 1), np.float32))
         b = T.Tensor(np.zeros(1, np.float32))
-        np.testing.assert_array_equal(T.conv2d(x, k, b).data, x.data)
+        np.testing.assert_array_equal(T.conv2d(x, k, b).data, np.maximum(x.data, 0))
 
     @pytest.mark.parametrize("kh,kw", [(3, 3), (5, 5), (2, 2)])
     def test_same_padding_preserves_spatial_size(self, kh, kw):
@@ -116,12 +118,12 @@ class TestConv2d:
 
     def test_even_kernel_pads_top_left(self):
         # a 2x2 kernel that only reads its bottom-right tap reproduces the
-        # input exactly when the extra padding sits on the top/left
+        # input's ReLU exactly when the extra padding sits on the top/left
         x = T.Tensor(RNG(5).normal(size=(2, 1, 4, 4)).astype(np.float32))
         k = np.zeros((1, 1, 2, 2), np.float32)
         k[0, 0, 1, 1] = 1.0
         out = T.conv2d(x, T.Tensor(k), T.Tensor(np.zeros(1, np.float32)))
-        np.testing.assert_array_equal(out.data, x.data)
+        np.testing.assert_array_equal(out.data, np.maximum(x.data, 0))
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
@@ -156,7 +158,7 @@ class TestConv2d:
         x = T.Tensor(rng.normal(size=(3, 2, h, w)), requires_grad=True)
         k = T.Tensor(rng.normal(size=(4, 2, kh, kw)), requires_grad=True)
         b = T.Tensor(rng.normal(size=4), requires_grad=True)
-        np.testing.assert_allclose(T.conv2d(x, k, b).data, naive_conv(x.data, k.data, b.data),
+        np.testing.assert_allclose(T.conv2d(x, k, b).data, np.maximum(naive_conv(x.data, k.data, b.data), 0),
                                    rtol=1e-12, atol=1e-12)
         w_out = T.Tensor(rng.normal(size=(3, 4, h, w)))
         fd_check(lambda: weighted_sum(T.conv2d(x, k, b), w_out), [x, k, b])
@@ -177,6 +179,108 @@ class TestConv2d:
         for other in results[1:]:
             for got, want in zip(other, results[0]):
                 np.testing.assert_array_equal(got, want)
+
+    def test_relu_is_fused_on_mixed_signs(self):
+        rng = RNG(11)
+        x = T.Tensor(rng.normal(size=(2, 3, 5, 4)), requires_grad=True)
+        k = T.Tensor(rng.normal(size=(4, 3, 3, 3)) * 0.5, requires_grad=True)
+        b = T.Tensor(rng.normal(size=4), requires_grad=True)
+        pre = naive_conv(x.data, k.data, b.data)
+        assert (pre > 0).any() and (pre < 0).any()
+        assert np.abs(pre).min() > 1e-3  # two-sided differences stay off the kink
+        out = T.conv2d(x, k, b).data
+        assert np.all(out[pre <= 0] == 0)
+        np.testing.assert_allclose(out[pre > 0], pre[pre > 0], rtol=1e-12, atol=1e-12)
+        w_out = T.Tensor(rng.normal(size=(2, 4, 5, 4)))
+        fd_check(lambda: weighted_sum(T.conv2d(x, k, b), w_out), [x, k, b])
+
+    @pytest.mark.parametrize("conv_first", [True, False])
+    def test_owned_gradients_sum_over_consumers(self, conv_first):
+        """conv2d and maxpool2 hand their fresh gradient buffers over as
+        .grad; a tensor that feeds both still gets the sum of both, and no
+        two tensors share one gradient array."""
+        rng = RNG(12)
+        x = T.Tensor(rng.normal(size=(2, 2, 4, 5)), requires_grad=True)
+        k = T.Tensor(rng.normal(size=(3, 2, 3, 3)) * 0.5, requires_grad=True)
+        b = T.Tensor(rng.normal(size=3), requires_grad=True)
+        w_conv = T.Tensor(rng.normal(size=(2, 3, 4, 5)))
+        w_pool = T.Tensor(rng.normal(size=(2, 2, 2, 2)))
+
+        def loss():
+            terms = [weighted_sum(T.conv2d(x, k, b), w_conv), weighted_sum(T.maxpool2(x), w_pool)]
+            return T.add(*(terms if conv_first else terms[::-1]))
+
+        fd_check(loss, [x, k, b])
+        x.zero_grad()
+        root = loss()
+        root.backward()
+        grads = [n.grad for n in T.Graph.trace(root).nodes if n.grad is not None]
+        for i, a in enumerate(grads):
+            for other in grads[i + 1 :]:
+                assert not np.shares_memory(a, other)
+
+
+class TestScratchBuffer:
+    @staticmethod
+    def conv_case(rng, n, cin, cout, size, k, dtype=np.float32):
+        return tuple(a.astype(dtype) for a in (
+            rng.normal(size=(n, cin, size, size)), rng.normal(size=(cout, cin, k, k)) * 0.3,
+            rng.normal(size=cout) * 0.1, rng.normal(size=(n, cout, size, size))))
+
+    @staticmethod
+    def forward(case):
+        x, k, b = (T.Tensor(a.copy(), requires_grad=True) for a in case[:3])
+        out = T.conv2d(x, k, b)
+        return out, weighted_sum(out, T.Tensor(case[3])), (x, k, b)
+
+    def test_interleaved_convs_match_each_run_alone(self, monkeypatch):
+        rng = RNG(13)
+        first = self.conv_case(rng, 4, 8, 16, 6, 3)
+        second = self.conv_case(rng, 4, 8, 16, 6, 3)  # same shape as first, as in two branches
+        larger = self.conv_case(rng, 4, 8, 8, 12, 5)
+        wide = self.conv_case(rng, 2, 3, 4, 6, 3, np.float64)
+        cases = [first, larger, wide, second]
+
+        alone = []
+        for case in cases:
+            out, loss, leaves = self.forward(case)
+            loss.backward()
+            alone.append([out.data.copy()] + [leaf.grad for leaf in leaves])
+
+        monkeypatch.setattr(T, "_scratch_bytes", np.empty(0, np.uint8))
+        runs = []
+        for case in cases:  # every forward before any backward
+            runs.append(self.forward(case))
+            if case is larger:
+                assert T._scratch_bytes.nbytes == 8 * 25 * 12 * 12 * 4 * 4  # its im2col matrix
+        for out, loss, _ in runs:
+            loss.backward()
+        for (out, _, leaves), want in zip(runs, alone):
+            assert out.dtype == want[0].dtype
+            for got, expected in zip([out.data] + [leaf.grad for leaf in leaves], want):
+                np.testing.assert_array_equal(got, expected)
+
+    def test_backward_keeps_no_im2col_matrix(self, monkeypatch):
+        """The traced peak of a forward and backward through two 5x5 convs
+        stays below the activations plus one im2col matrix (25 activations
+        here) plus slack for padded inputs and backward temporaries: the
+        closures do not keep their matrices, which would add 25 more."""
+        rng = RNG(14)
+        case = self.conv_case(rng, 4, 8, 8, 16, 5)
+        act = case[0].nbytes
+        monkeypatch.setattr(T, "_scratch_bytes", np.empty(0, np.uint8))
+        x, k1, b1 = (T.Tensor(a.copy(), requires_grad=True) for a in case[:3])
+        k2 = T.Tensor(case[1][::-1].copy(), requires_grad=True)
+        tracemalloc.start()
+        try:
+            out = T.conv2d(T.conv2d(x, k1, b1), k2, b1)
+            weighted_sum(out, T.Tensor(case[3])).backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.grad is not None and k1.grad is not None
+        cols = 25 * act
+        assert peak < 3 * act + cols + 20 * act
 
 
 class TestMaxpool2:
