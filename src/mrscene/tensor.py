@@ -4,8 +4,12 @@ Every differentiable operation returns a new :class:`Tensor` that remembers
 its inputs and a closure computing the local vector-Jacobian product.
 Calling ``backward()`` on a scalar result walks the recorded graph in
 reverse topological order and accumulates gradients into every tensor
-created with ``requires_grad=True``. Inside ``with no_grad():`` no graph
-is recorded, which is how evaluation runs the forward pass.
+created with ``requires_grad=True``. An operation result drops its
+gradient and closure once its own step has run, keeping its ``.data`` and
+parents, so a second ``backward()`` through the spent graph raises
+``UsageError``.
+Inside ``with no_grad():`` no graph is recorded, which is how evaluation
+runs the forward pass.
 
 Two float precisions are supported: float32 (training, evaluation) and
 float64 (gradient checking). The dtype of an operation's result follows
@@ -83,14 +87,23 @@ class Tensor:
         self.grad = None
 
     def backward(self):
-        """Accumulate gradients of this scalar into every reachable tensor."""
+        """Accumulate gradients of this scalar into every reachable leaf.
+
+        Each operation result's gradient and closure, with the buffers the
+        closure saved, are dropped right after its step runs, so the pass
+        holds only the gradients still to be propagated.
+        """
         if self.data.size != 1:
             raise UsageError(f"backward() needs a scalar, got shape {self.shape}")
-        graph = Graph.trace(self)
+        nodes = Graph.trace(self).nodes
+        if any(n.requires_grad and n._parents and n._backward is None for n in nodes):
+            raise UsageError("backward() through a graph that has already been back-propagated")
         self.grad = np.ones_like(self.data)
-        for node in reversed(graph.nodes):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        for node in reversed(nodes):
+            if node._backward is not None:
+                if node.grad is not None:
+                    node._backward(node.grad)
+                node.grad = node._backward = None
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, op={self._op!r})"
@@ -264,19 +277,22 @@ def fc(x: Tensor, weight: Tensor, bias: Tensor = None) -> Tensor:
 # convolution and pooling
 
 
-def _same_padding(k: int) -> tuple:
-    # total k-1; the extra row/column of an even kernel goes to the top/left
-    return (k // 2, (k - 1) // 2)
-
-
 def _live_taps(k: int, size: int) -> tuple:
     """Kernel offsets [lo, hi) along one axis that reach the input for at
-    least one output position, and the "same" padding (before, after) that
-    these offsets need. An offset outside [lo, hi) only ever reads zero
-    padding, so dropping it changes no output."""
-    before, after = _same_padding(k)
+    least one output position, and the "same" padding pad that remains
+    before offset lo: live tap i (offset lo + i) reads input position
+    p + i - pad for output position p. An offset outside [lo, hi) only ever
+    reads zero padding, so dropping it changes no output."""
+    before = k // 2  # of k - 1 in all: an even kernel's extra row/column goes top/left
     lo, hi = max(0, before - size + 1), min(k, before + size)
-    return lo, hi, before - lo, after - (k - hi)
+    return lo, hi, before - lo
+
+
+def _in_map(d: int, size: int) -> tuple:
+    """Along one axis, the output positions p whose tap at offset d reads
+    inside the map (0 <= p + d < size), and the input positions p + d."""
+    lo, hi = max(0, -d), min(size, size - d)
+    return slice(lo, hi), slice(lo + d, hi + d)
 
 
 _scratch_bytes = np.empty(0, np.uint8)
@@ -303,14 +319,20 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     spatial size equals input spatial size. Even kernels pad one extra
     row/column on the top/left.
 
-    The batch axis runs innermost inside: the input is padded into a
-    (Cin, Hp, Wp, N) buffer, so each im2col tap copy and each col2im add
+    The batch axis runs innermost inside: the input is read as a
+    (Cin, H, W, N) array, a view when it is already stored that way (a
+    conv2d or maxpool2 result), so each im2col tap copy and each col2im add
     moves contiguous runs of W*N values, and the (Cout, H, W, N) product is
-    returned as an (N, Cout, H, W) view. Kernel rows and columns that only
-    ever see padding (a kernel larger than its map) are skipped. The im2col
-    matrix lives in the scratch buffer: only the padded input is kept for
-    the backward, which rebuilds the matrix there for the kernel gradient
-    and then overwrites it with the patch-matrix gradient.
+    returned as an (N, Cout, H, W) view. No padded copy is made: each tap
+    copies its in-map block and zeroes the border strips that would read
+    padding, and the backward adds each tap's in-map block straight into
+    the unpadded input gradient. Kernel rows and columns that only ever see
+    padding (a kernel larger than its map) are skipped. The im2col matrix
+    lives in the scratch buffer: the backward rebuilds it there for the
+    kernel gradient and then overwrites it with the patch-matrix gradient.
+    The ReLU mask is applied to the incoming gradient in place, which the
+    engine allows because each node owns its gradient and drops it after
+    its step.
     """
     if kernels.ndim != 4:
         raise ShapeError(f"conv2d kernels must be 4-d, got {kernels.shape}")
@@ -324,18 +346,29 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"conv2d bias must be ({cout},), got {bias.shape}")
     if kh < 1 or kw < 1 or h < 1 or w < 1:
         raise ShapeError(f"conv2d kernel {kernels.shape} does not fit padded input {x.shape}")
-    i0, i1, pt, pb = _live_taps(kh, h)
-    j0, j1, pl, pr = _live_taps(kw, w)
+    i0, i1, pt = _live_taps(kh, h)
+    j0, j1, pl = _live_taps(kw, w)
     th, tw = i1 - i0, j1 - j0
-    padded = (cin, h + pt + pb, w + pl + pr, n)
-    xpad = np.zeros(padded, dtype=x.dtype)
-    xpad[:, pt : pt + h, pl : pl + w] = x.data.transpose(1, 2, 3, 0)
+    xt = np.ascontiguousarray(x.data.transpose(1, 2, 3, 0))
+
+    def taps():
+        """Per live tap (i, j): its in-map output rows and columns, and the
+        input rows and columns they read."""
+        for i in range(th):
+            ys, yr = _in_map(i - pt, h)
+            for j in range(tw):
+                xs, xr = _in_map(j - pl, w)
+                yield i, j, ys, xs, yr, xr
 
     def im2col():
         cols = _scratch((cin, th, tw, h, w, n), x.dtype)
-        for i in range(th):
-            for j in range(tw):
-                cols[:, i, j] = xpad[:, i : i + h, j : j + w]
+        for i, j, ys, xs, yr, xr in taps():
+            tap = cols[:, i, j]
+            tap[:, : ys.start] = 0
+            tap[:, ys.stop :] = 0
+            tap[:, ys, : xs.start] = 0
+            tap[:, ys, xs.stop :] = 0
+            tap[:, ys, xs] = xt[:, yr, xr]
         return cols.reshape(cin * th * tw, h * w * n)
 
     kmat = kernels.data[:, :, i0:i1, j0:j1].reshape(cout, cin * th * tw)
@@ -345,7 +378,9 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     out = out.reshape(cout, h, w, n)
 
     def _bw(g):
-        g2 = np.multiply(g.transpose(1, 2, 3, 0), out > 0).reshape(cout, h * w * n)
+        gt = g.transpose(1, 2, 3, 0)
+        gt *= out > 0
+        g2 = gt.reshape(cout, h * w * n)
         _accumulate(bias, g2.sum(axis=1))
         if kernels.requires_grad:
             gk = (g2 @ im2col().T).reshape(cout, cin, th, tw)
@@ -355,11 +390,10 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
         if x.requires_grad:
             gcols = np.matmul(kmat.T, g2, out=_scratch((cin * th * tw, h * w * n), g2.dtype))
             gcols = gcols.reshape(cin, th, tw, h, w, n)
-            gxpad = np.zeros(padded, dtype=x.dtype)
-            for i in range(th):
-                for j in range(tw):
-                    gxpad[:, i : i + h, j : j + w] += gcols[:, i, j]
-            _accumulate(x, gxpad[:, pt : pt + h, pl : pl + w].transpose(3, 0, 1, 2), owned=True)
+            gx = np.zeros((cin, h, w, n), dtype=x.dtype)
+            for i, j, ys, xs, yr, xr in taps():
+                gx[:, yr, xr] += gcols[:, i, j, ys, xs]
+            _accumulate(x, gx.transpose(3, 0, 1, 2), owned=True)
 
     return Tensor(out.transpose(3, 0, 1, 2), _parents=(x, kernels, bias), _backward=_bw, _op="conv2d")
 

@@ -46,6 +46,25 @@ def naive_conv(x, k, b):
     return out
 
 
+def naive_conv_grads(x, k, b, g):
+    """Float64 gradients of sum(g * relu(naive_conv(x, k, b))) for x, k and
+    b. naive_conv is linear in x and in k, so each gradient entry is the
+    masked upstream gradient dotted with naive_conv of one basis array."""
+    gpre = g * (naive_conv(x, k, b) > 0)
+    zero = np.zeros_like(b)
+
+    def probe(like, conv_of):
+        grad = np.zeros(like.shape)
+        for idx in np.ndindex(like.shape):
+            basis = np.zeros(like.shape)
+            basis[idx] = 1
+            grad[idx] = np.sum(gpre * conv_of(basis))
+        return grad
+
+    return (probe(x, lambda e: naive_conv(e, k, zero)), probe(k, lambda e: naive_conv(x, e, zero)),
+            gpre.sum(axis=(0, 2, 3)))
+
+
 def batch_innermost(a):
     """The same NCHW values backed by (C, H, W, N) memory."""
     return np.ascontiguousarray(a.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
@@ -152,16 +171,28 @@ class TestConv2d:
             # gemm accumulation order differs between batch shapes by ulps
             np.testing.assert_allclose(batched[i], single, rtol=1e-12, atol=1e-13)
 
-    @pytest.mark.parametrize("kh,kw,h,w", [(2, 2, 1, 1), (3, 3, 1, 1), (5, 5, 2, 3), (4, 2, 1, 4)])
-    def test_kernel_larger_than_map_matches_sliding_window(self, kh, kw, h, w):
+    @pytest.mark.parametrize("kh,kw,h,w", [(2, 2, 1, 1), (3, 3, 1, 1), (5, 5, 2, 3), (4, 2, 1, 4), (3, 4, 2, 6)])
+    def test_kernel_larger_than_map_matches_sliding_window(self, kh, kw, h, w, monkeypatch):
+        """Output and all three gradients match the sliding window in
+        float64 and float32, from an NCHW-contiguous input and from a
+        conv2d-output view, with the scratch buffer full of NaN bytes before
+        the forward and before the backward: every tap border that would
+        read padding is zeroed, never left stale."""
         rng = RNG(9)
-        x = T.Tensor(rng.normal(size=(3, 2, h, w)), requires_grad=True)
-        k = T.Tensor(rng.normal(size=(4, 2, kh, kw)), requires_grad=True)
-        b = T.Tensor(rng.normal(size=4), requires_grad=True)
-        np.testing.assert_allclose(T.conv2d(x, k, b).data, np.maximum(naive_conv(x.data, k.data, b.data), 0),
-                                   rtol=1e-12, atol=1e-12)
-        w_out = T.Tensor(rng.normal(size=(3, 4, h, w)))
-        fd_check(lambda: weighted_sum(T.conv2d(x, k, b), w_out), [x, k, b])
+        x0, k0, b0 = rng.normal(size=(3, 2, h, w)), rng.normal(size=(4, 2, kh, kw)), rng.normal(size=4)
+        g0 = rng.normal(size=(3, 4, h, w))
+        want = [np.maximum(naive_conv(x0, k0, b0), 0), *naive_conv_grads(x0, k0, b0, g0)]
+        monkeypatch.setattr(T, "_scratch_bytes", np.empty(8 * kh * kw * x0.size, np.uint8))
+        for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-5)):
+            for layout in (np.ascontiguousarray, batch_innermost):
+                x = T.Tensor(layout(x0.astype(dtype)), requires_grad=True)
+                k, b = (T.Tensor(a.astype(dtype), requires_grad=True) for a in (k0, b0))
+                T._scratch_bytes.fill(0xFF)  # a NaN in every float32 and float64 slot
+                out = T.conv2d(x, k, b)
+                T._scratch_bytes.fill(0xFF)
+                weighted_sum(out, T.Tensor(g0.astype(dtype))).backward()
+                for got, expected in zip((out.data, x.grad, k.grad, b.grad), want):
+                    np.testing.assert_allclose(got, expected, rtol=tol, atol=tol)
 
     def test_input_memory_layout_does_not_change_results(self):
         rng = RNG(10)
@@ -263,8 +294,8 @@ class TestScratchBuffer:
     def test_backward_keeps_no_im2col_matrix(self, monkeypatch):
         """The traced peak of a forward and backward through two 5x5 convs
         stays below the activations plus one im2col matrix (25 activations
-        here) plus slack for padded inputs and backward temporaries: the
-        closures do not keep their matrices, which would add 25 more."""
+        here) plus slack for backward temporaries: the closures do not keep
+        their matrices, which would add 25 more."""
         rng = RNG(14)
         case = self.conv_case(rng, 4, 8, 8, 16, 5)
         act = case[0].nbytes
