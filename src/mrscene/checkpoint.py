@@ -32,19 +32,13 @@ class CheckpointData:
     config: dict
 
 
-def _pack_entries(entries: dict) -> bytes:
-    blob = bytearray()
-    blob += struct.pack("<I", len(entries))
+def _write_entries(f, entries: dict):
+    f.write(struct.pack("<I", len(entries)))
     for name, value in entries.items():
         arr = np.ascontiguousarray(value, dtype="<f4")
         encoded = name.encode("utf-8")
-        blob += struct.pack("<H", len(encoded))
-        blob += encoded
-        blob += struct.pack("<B", arr.ndim)
-        for dim in arr.shape:
-            blob += struct.pack("<I", dim)
-        blob += arr.tobytes()
-    return bytes(blob)
+        f.write(struct.pack(f"<H{len(encoded)}sB{arr.ndim}I", len(encoded), encoded, arr.ndim, *arr.shape))
+        f.write(arr)
 
 
 def _read_entries(reader: BinaryReader, what: str) -> dict:
@@ -58,21 +52,26 @@ def _read_entries(reader: BinaryReader, what: str) -> dict:
             raise FormatError(f"{reader.path}: {what} name is not UTF-8") from exc
         (rank,) = reader.unpack("<B", f"{what} rank")
         dims = reader.unpack(f"<{rank}I", f"{what} dims")
+        if name in entries:
+            raise FormatError(f"{reader.path}: repeated {what} entry {name!r}")
         entries[name] = reader.array("<f4", dims, f"{what} values of {name!r}")
     return entries
 
 
 def write_checkpoint(path, params: dict, optimizer_state: dict, epoch: int, config: dict):
-    blob = bytearray()
-    blob += MAGIC
-    blob += struct.pack("<H", FORMAT_VERSION)
-    blob += _pack_entries({name: t.data for name, t in params.items()})
-    blob += _pack_entries(optimizer_state)
-    blob += struct.pack("<I", epoch)
+    """Stream to ``<path>.tmp`` and rename it into place: a write that raises leaves ``path`` as it was."""
+    tmp = Path(f"{path}.tmp")
     echo = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    blob += struct.pack("<I", len(echo))
-    blob += echo
-    Path(path).write_bytes(bytes(blob))
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC + struct.pack("<H", FORMAT_VERSION))
+            _write_entries(f, {name: t.data for name, t in params.items()})
+            _write_entries(f, optimizer_state)
+            f.write(struct.pack("<II", epoch, len(echo)) + echo)
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_checkpoint(path) -> CheckpointData:

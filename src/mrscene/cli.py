@@ -153,8 +153,7 @@ def cmd_predict(args) -> int:
     samples = _load_samples(manifest, args.split, args.data)
     probs = model.predict_probabilities(samples, args.batch_size)
     print(_format_echo(data.config))
-    for i, sample in enumerate(samples):
-        chosen = predict(probs[i], threshold)
+    for sample, chosen in zip(samples, predict(probs, threshold)):
         names = [manifest.class_names[j] for j in np.flatnonzero(chosen)]
         print(f"{sample.id}\t{', '.join(names) if names else '<none>'}")
     return 0

@@ -209,8 +209,7 @@ def evaluate_model(model: Model, samples, threshold: float = None, batch_size: i
     if threshold is None:
         threshold = model.config.threshold
     probs = model.predict_probabilities(samples, batch_size)
-    pairs = [(s.labels, predict(probs[i], threshold)) for i, s in enumerate(samples)]
-    return aggregate(pairs)
+    return aggregate(zip([s.labels for s in samples], predict(probs, threshold)))
 
 
 def moving_average(values, window: int = 5) -> np.ndarray:

@@ -1,13 +1,18 @@
 """Checkpoint format round-trips and mismatch detection."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mrscene.checkpoint import load_parameters, read_checkpoint, write_checkpoint
+from mrscene.dataset import PROFILES, Sample
 from mrscene.errors import BadMagicError, ConfigError, FormatError, TruncatedFileError
+from mrscene.head import bce_with_logits_loss
+from mrscene.model import Model, ModelConfig
 from mrscene.tensor import Tensor
+from mrscene.trainer import Adam
 
 
 class FakeModel:
@@ -24,10 +29,33 @@ def some_params(rng):
     }
 
 
+def raw_entry(name=b"w", dims=(2,), values=bytes(8)) -> bytes:
+    return struct.pack("<H", len(name)) + name + struct.pack(f"<B{len(dims)}I", len(dims), *dims) + values
+
+
+def raw_file(params, opt_state=(), echo=b"{}") -> bytes:
+    """A MAC1 file holding the given packed entries, epoch 0."""
+    return (b"MAC1" + struct.pack("<HI", 1, len(params)) + b"".join(params)
+            + struct.pack("<I", len(opt_state)) + b"".join(opt_state) + struct.pack("<II", 0, len(echo)) + echo)
+
+
 def raw_checkpoint(name=b"w", dims=(2,), values=bytes(8), echo=b"{}") -> bytes:
     """A MAC1 file with one parameter entry, no optimizer state, epoch 0."""
-    entry = struct.pack("<H", len(name)) + name + struct.pack(f"<B{len(dims)}I", len(dims), *dims) + values
-    return (b"MAC1" + struct.pack("<HI", 1, 1) + entry + struct.pack("<III", 0, 0, len(echo)) + echo)
+    return raw_file([raw_entry(name, dims, values)], echo=echo)
+
+
+def tiny_model_after_one_adam_step():
+    """The default ``tiny`` model and its Adam state after one step."""
+    profile = PROFILES["tiny"]
+    model = Model(ModelConfig(n_classes=profile.default_classes, subset_shapes=profile.subset_shapes), seed=0)
+    rng = np.random.default_rng(0)
+    batch = [Sample([rng.normal(size=s).astype(np.float32) for s in profile.subset_shapes],
+                    np.eye(profile.default_classes, dtype=np.uint8)[i], f"s{i}") for i in range(4)]
+    bce_with_logits_loss(model.forward_samples(batch).scores,
+                         np.stack([s.labels for s in batch]).astype(np.float32)).backward()
+    optimizer = Adam(1e-3)
+    optimizer.step(model.parameters)
+    return model, optimizer.state_entries()
 
 
 class TestRoundTrip:
@@ -55,6 +83,20 @@ class TestRoundTrip:
         write_checkpoint(tmp_path / "b.mac", params, {}, 1, {"x": 1})
         assert (tmp_path / "a.mac").read_bytes() == (tmp_path / "b.mac").read_bytes()
 
+    def test_float64_and_transposed_values_round_trip_as_float32(self, tmp_path):
+        rng = np.random.default_rng(8)
+        wide = rng.normal(size=(3, 4))
+        transposed = rng.normal(size=(5, 2)).astype(np.float32).T
+        assert wide.dtype == np.float64 and not transposed.flags.c_contiguous
+        path = tmp_path / "ck.mac"
+        write_checkpoint(path, {"wide": Tensor(wide), "transposed": Tensor(transposed)},
+                         {"adam.m.transposed": transposed}, 0, {})
+        data = read_checkpoint(path)
+        for stored, original in ((data.params["wide"], wide), (data.params["transposed"], transposed),
+                                 (data.optimizer_state["adam.m.transposed"], transposed)):
+            assert stored.dtype == np.float32
+            np.testing.assert_array_equal(stored, original.astype(np.float32))
+
     def test_load_parameters_restores_forward_exactly(self, tmp_path):
         rng = np.random.default_rng(2)
         params = some_params(rng)
@@ -64,6 +106,51 @@ class TestRoundTrip:
         load_parameters(model, read_checkpoint(tmp_path / "ck.mac").params)
         for name in params:
             np.testing.assert_array_equal(model.parameters[name].data, params[name].data)
+
+
+class TestStreamedWrite:
+    def test_write_holds_no_copy_of_the_file(self, tmp_path):
+        """The entries go straight to the file: the traced peak stays far
+        below the 9 MB file, which building it in memory would hold at
+        least once."""
+        model, state = tiny_model_after_one_adam_step()
+        path = tmp_path / "ck.mac"
+        tracemalloc.start()
+        try:
+            write_checkpoint(path, model.parameters, state, 1, {"model": {}})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 8e6
+        assert peak < 1e6
+        assert [p.name for p in tmp_path.iterdir()] == ["ck.mac"]
+
+    def test_overwrite_replaces_the_previous_file(self, tmp_path):
+        rng = np.random.default_rng(9)
+        path = tmp_path / "ck.mac"
+        write_checkpoint(path, some_params(rng), {}, 1, {})
+        params = some_params(rng)
+        write_checkpoint(path, params, {}, 2, {})
+        assert read_checkpoint(path).epoch == 2
+        np.testing.assert_array_equal(read_checkpoint(path).params["layer.weight"], params["layer.weight"].data)
+        assert [p.name for p in tmp_path.iterdir()] == ["ck.mac"]
+
+    @pytest.mark.parametrize("params, opt_state, error", [
+        ({"\ud800": np.ones(2)}, {}, UnicodeEncodeError),  # a lone surrogate has no UTF-8 form
+        ({}, {"adam.step": np.array(["not a number"])}, ValueError),
+    ])
+    def test_failed_write_leaves_the_previous_checkpoint(self, tmp_path, params, opt_state, error):
+        """The write raises after some bytes have gone out; the file at the
+        path is untouched and the temp file is gone."""
+        rng = np.random.default_rng(10)
+        path = tmp_path / "ck.mac"
+        write_checkpoint(path, some_params(rng), {"adam.step": np.array([1.0])}, 1, {"x": 1})
+        before = path.read_bytes()
+        doomed = dict(some_params(rng), **{name: Tensor(value) for name, value in params.items()})
+        with pytest.raises(error):
+            write_checkpoint(path, doomed, opt_state, 2, {"x": 2})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ck.mac"]
 
 
 class TestErrors:
@@ -116,6 +203,16 @@ class TestErrors:
             load_parameters(FakeModel(target), read_checkpoint(path).params)
         for name, t in target.items():
             np.testing.assert_array_equal(t.data, before[name])
+
+    @pytest.mark.parametrize("section", ["parameter", "optimizer state"])
+    def test_repeated_entry_name_refused(self, tmp_path, section):
+        """A later entry of the same name does not silently replace the first."""
+        twice = [raw_entry(b"classifier.bias", (2,), np.zeros(2, "<f4").tobytes()),
+                 raw_entry(b"classifier.bias", (2,), np.ones(2, "<f4").tobytes())]
+        path = tmp_path / "twice.mac"
+        path.write_bytes(raw_file(twice) if section == "parameter" else raw_file([raw_entry()], twice))
+        with pytest.raises(FormatError, match=f"repeated {section} entry 'classifier.bias'"):
+            read_checkpoint(path)
 
     def test_hand_built_file_parses(self, tmp_path):
         path = tmp_path / "ok.mac"

@@ -264,6 +264,25 @@ class TestEvaluatePredictAttn:
         assert_one_error_line(captured.err, "'classifier.bias'")
         assert captured.out == ""
 
+    def test_checkpoint_with_repeated_entry_exits_2(self, workspace, tmp_path, capsys):
+        """A second 'classifier.bias' entry, made by renaming an extra
+        entry of the same name length in the written bytes."""
+        from mrscene.checkpoint import read_checkpoint, write_checkpoint
+        from mrscene.tensor import Tensor
+
+        stored = read_checkpoint(workspace["checkpoint"])
+        params = {name: Tensor(v) for name, v in stored.params.items()}
+        params["classifier.bia$"] = Tensor(np.zeros_like(stored.params["classifier.bias"]))
+        bad = tmp_path / "twice.mac"
+        write_checkpoint(bad, params, stored.optimizer_state, stored.epoch, stored.config)
+        blob = bad.read_bytes()
+        assert blob.count(b"classifier.bia$") == 1
+        bad.write_bytes(blob.replace(b"classifier.bia$", b"classifier.bias"))
+        assert main(["evaluate", "--data", str(workspace["data"]), "--checkpoint", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured.err, "'classifier.bias'")
+        assert captured.out == ""
+
     def test_corrupt_checkpoint_exits_2(self, workspace, tmp_path, capsys):
         bad = tmp_path / "bad.mac"
         bad.write_bytes(b"JUNKJUNKJUNK")
