@@ -13,6 +13,7 @@ bit-exactly at 32-bit.
 
 import json
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,7 +48,7 @@ def _read_entries(reader: BinaryReader, what: str) -> dict:
     for _ in range(count):
         (name_len,) = reader.unpack("<H", f"{what} name length")
         try:
-            name = bytes(reader.take(name_len, f"{what} name")).decode("utf-8")
+            name = reader.take(name_len, f"{what} name").decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"{reader.path}: {what} name is not UTF-8") from exc
         (rank,) = reader.unpack("<B", f"{what} rank")
@@ -58,30 +59,39 @@ def _read_entries(reader: BinaryReader, what: str) -> dict:
     return entries
 
 
-def write_checkpoint(path, params: dict, optimizer_state: dict, epoch: int, config: dict):
-    """Stream to ``<path>.tmp`` and rename it into place: a write that raises leaves ``path`` as it was."""
+@contextmanager
+def replacing(path):
+    """A binary file open on ``<path>.tmp`` that is renamed onto ``path``
+    once the block completes; if the block raises, the temp file is
+    removed and ``path`` is left as it was."""
     tmp = Path(f"{path}.tmp")
-    echo = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
     try:
         with open(tmp, "wb") as f:
-            f.write(MAGIC + struct.pack("<H", FORMAT_VERSION))
-            _write_entries(f, {name: t.data for name, t in params.items()})
-            _write_entries(f, optimizer_state)
-            f.write(struct.pack("<II", epoch, len(echo)) + echo)
+            yield f
         tmp.replace(path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
+def write_checkpoint(path, params: dict, optimizer_state: dict, epoch: int, config: dict):
+    """Stream the checkpoint to ``path`` through ``replacing``."""
+    echo = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    with replacing(path) as f:
+        f.write(MAGIC + struct.pack("<H", FORMAT_VERSION))
+        _write_entries(f, {name: t.data for name, t in params.items()})
+        _write_entries(f, optimizer_state)
+        f.write(struct.pack("<II", epoch, len(echo)) + echo)
+
+
 def read_checkpoint(path) -> CheckpointData:
-    reader = BinaryReader(path, MAGIC, FORMAT_VERSION)
-    params = _read_entries(reader, "parameter")
-    opt_state = _read_entries(reader, "optimizer state")
-    (epoch,) = reader.unpack("<I", "epoch")
-    (config_len,) = reader.unpack("<I", "config echo length")
-    config = json_object(bytes(reader.take(config_len, "config echo")), f"{path}: config echo")
-    reader.end("config echo")
+    with BinaryReader(path, MAGIC, FORMAT_VERSION) as reader:
+        params = _read_entries(reader, "parameter")
+        opt_state = _read_entries(reader, "optimizer state")
+        (epoch,) = reader.unpack("<I", "epoch")
+        (config_len,) = reader.unpack("<I", "config echo length")
+        config = json_object(reader.take(config_len, "config echo"), f"{path}: config echo")
+        reader.end("config echo")
     return CheckpointData(params=params, optimizer_state=opt_state, epoch=epoch, config=config)
 
 
@@ -101,4 +111,4 @@ def load_parameters(model, stored: dict):
         if not np.isfinite(value).all():
             raise FormatError(f"checkpoint entry {name!r} holds a non-finite value")
     for name, tensor in model.parameters.items():
-        tensor.data = stored[name].astype(model.dtype)
+        tensor.data = stored[name].astype(model.dtype, copy=False)

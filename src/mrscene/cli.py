@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: generate-data, train, evaluate, predict, attn-dump, gradcheck.
-Exit codes: 0 success, 1 gradient-check failure, 2 usage or config error.
+Exit codes: 0 success, 1 gradient-check failure or diverged training (the
+loss log of the completed epochs is kept), 2 usage, config or format error.
 Every report embeds the resolved run configuration for reproducibility.
 """
 

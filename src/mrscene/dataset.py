@@ -126,13 +126,13 @@ def write_sample(path, sample: Sample):
 
 def read_sample(path, manifest: DatasetManifest = None) -> Sample:
     """Read one MRS1 file; optionally validate shapes against a manifest."""
-    reader = BinaryReader(path, MAGIC, FORMAT_VERSION)
-    (n_subsets,) = reader.unpack("<H", "subset count")
-    subsets = [reader.array("<f4", reader.unpack("<III", f"subset {k} header"), f"subset {k} data")
-               for k in range(n_subsets)]
-    (n_classes,) = reader.unpack("<I", "label header")
-    labels = reader.array(np.uint8, (n_classes,), "labels")
-    reader.end("labels")
+    with BinaryReader(path, MAGIC, FORMAT_VERSION) as reader:
+        (n_subsets,) = reader.unpack("<H", "subset count")
+        subsets = [reader.array("<f4", reader.unpack("<III", f"subset {k} header"), f"subset {k} data")
+                   for k in range(n_subsets)]
+        (n_classes,) = reader.unpack("<I", "label header")
+        labels = reader.array(np.uint8, (n_classes,), "labels")
+        reader.end("labels")
     if labels.size and labels.max() > 1:
         raise FormatError(f"{path}: labels must be 0/1 bytes")
     sample = Sample(subsets=subsets, labels=labels, id=Path(path).stem)

@@ -3,10 +3,10 @@ input that raise them."""
 
 import json
 import math
+import os
 import struct
 from dataclasses import MISSING, fields
 from numbers import Integral, Real
-from pathlib import Path
 
 import numpy as np
 
@@ -60,37 +60,53 @@ def json_object(raw, what: str, error=FormatError) -> dict:
 
 
 class BinaryReader:
-    """Bounded reader over the bytes of one binary file that starts with
-    ``magic`` and a u16 ``version``. Every read past the end raises
-    TruncatedFileError naming the field; ``end`` refuses trailing bytes."""
+    """Bounded reader over one open binary file that starts with ``magic``
+    and a u16 ``version``; a context manager that closes the file. Every
+    read past the end raises TruncatedFileError naming the field; ``end``
+    refuses trailing bytes."""
 
     def __init__(self, path, magic: bytes, version: int):
         self.path = path
-        self.view = memoryview(Path(path).read_bytes())
-        self.pos = 0
-        if bytes(self.take(len(magic), "magic")) != magic:
-            raise BadMagicError(f"{path}: expected magic {magic!r}")
-        (found,) = self.unpack("<H", "version")
-        if found != version:
-            raise FormatError(f"{path}: unsupported format version {found}")
+        self.file = open(path, "rb")
+        try:
+            self.remaining = os.fstat(self.file.fileno()).st_size
+            if self.take(len(magic), "magic") != magic:
+                raise BadMagicError(f"{path}: expected magic {magic!r}")
+            (found,) = self.unpack("<H", "version")
+            if found != version:
+                raise FormatError(f"{path}: unsupported format version {found}")
+        except BaseException:
+            self.file.close()
+            raise
 
-    def take(self, n: int, what: str) -> memoryview:
-        if len(self.view) - self.pos < n:
-            raise TruncatedFileError(f"{self.path}: file ends inside {what}")
-        self.pos += n
-        return self.view[self.pos - n : self.pos]
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.file.close()
+
+    def take(self, n: int, what: str) -> bytes:
+        return self.array(np.uint8, (n,), what).tobytes()
 
     def unpack(self, fmt: str, what: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
     def array(self, dtype, shape, what: str) -> np.ndarray:
-        """The next ``shape`` values of ``dtype``, copied out of the file."""
+        """The next ``shape`` values of ``dtype``, read from the file
+        straight into a new array, which is allocated only once the file
+        is known to hold them."""
         dtype = np.dtype(dtype)
-        n_values = math.prod(shape)  # Python ints: a huge product cannot wrap around
-        return np.frombuffer(self.take(n_values * dtype.itemsize, what), dtype).reshape(shape).copy()
+        nbytes = math.prod(shape) * dtype.itemsize  # Python ints: a huge product cannot wrap around
+        if nbytes > self.remaining:
+            raise TruncatedFileError(f"{self.path}: file ends inside {what}")
+        self.remaining -= nbytes
+        arr = np.empty(shape, dtype)
+        if self.file.readinto(arr) != nbytes:  # the file shrank while it was read
+            raise TruncatedFileError(f"{self.path}: file ends inside {what}")
+        return arr
 
     def end(self, after: str):
-        if self.pos != len(self.view):
+        if self.remaining:
             raise FormatError(f"{self.path}: trailing bytes after {after}")
 
 

@@ -288,19 +288,24 @@ def _live_taps(k: int, size: int) -> tuple:
     return lo, hi, before - lo
 
 
-def _in_map(d: int, size: int) -> tuple:
-    """Along one axis, the output positions p whose tap at offset d reads
-    inside the map (0 <= p + d < size), and the input positions p + d."""
-    lo, hi = max(0, -d), min(size, size - d)
+def _in_map(d: int, size: int, span: int) -> tuple:
+    """Along one axis, the window positions q < span whose tap at offset d
+    reads inside the map (0 <= q + d < size), and the input positions
+    q + d."""
+    lo = max(0, -d)
+    hi = max(lo, min(span, size - d))
     return slice(lo, hi), slice(lo + d, hi + d)
 
 
 _scratch_bytes = np.empty(0, np.uint8)
+_BAND_BYTES = 8 << 20  # conv2d's patch-matrix budget per band of output rows
 
 
 def _scratch(shape, dtype) -> np.ndarray:
     """An uninitialised ``shape`` array viewing one process-wide byte buffer,
-    which grows to the largest request seen and is never shrunk.
+    which grows to the largest request seen and is never shrunk. conv2d
+    asks for one band of its patch matrix at a time, so the buffer stays
+    within ``_BAND_BYTES`` unless a single output row's matrix is larger.
 
     The view is valid only until the next call: each user fills it and is
     done with it before any other op runs. This assumes a single thread.
@@ -327,12 +332,18 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     copies its in-map block and zeroes the border strips that would read
     padding, and the backward adds each tap's in-map block straight into
     the unpadded input gradient. Kernel rows and columns that only ever see
-    padding (a kernel larger than its map) are skipped. The im2col matrix
-    lives in the scratch buffer: the backward rebuilds it there for the
-    kernel gradient and then overwrites it with the patch-matrix gradient.
-    The ReLU mask is applied to the incoming gradient in place, which the
-    engine allows because each node owns its gradient and drops it after
-    its step.
+    padding (a kernel larger than its map) are skipped.
+
+    The im2col matrix is never built whole. The output is walked in bands
+    of whole output rows, as many as fit ``_BAND_BYTES`` of patch matrix
+    and at least one, and each band's matrix is built in the scratch
+    buffer over the previous band's. The forward multiplies each band
+    straight into its rows of the output and adds bias and ReLU there; the
+    backward rebuilds each band's matrix for its share of the kernel
+    gradient, then overwrites it with the band's patch-matrix gradient and
+    adds that into the input gradient. The ReLU mask is applied to the
+    incoming gradient in place, which the engine allows because each node
+    owns its gradient and drops it after its step.
     """
     if kernels.ndim != 4:
         raise ShapeError(f"conv2d kernels must be 4-d, got {kernels.shape}")
@@ -350,49 +361,60 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     j0, j1, pl = _live_taps(kw, w)
     th, tw = i1 - i0, j1 - j0
     xt = np.ascontiguousarray(x.data.transpose(1, 2, 3, 0))
+    rows = max(1, _BAND_BYTES // (cin * th * tw * w * n * x.dtype.itemsize))
+    bands = [(y0, min(y0 + rows, h)) for y0 in range(0, h, rows)]
 
-    def taps():
-        """Per live tap (i, j): its in-map output rows and columns, and the
-        input rows and columns they read."""
+    def taps(y0, y1):
+        """Per live tap (i, j) and the output rows [y0, y1): its in-map
+        output rows (counted from y0) and columns, and the input rows and
+        columns they read."""
         for i in range(th):
-            ys, yr = _in_map(i - pt, h)
+            ys, yr = _in_map(y0 + i - pt, h, y1 - y0)
             for j in range(tw):
-                xs, xr = _in_map(j - pl, w)
+                xs, xr = _in_map(j - pl, w, w)
                 yield i, j, ys, xs, yr, xr
 
-    def im2col():
-        cols = _scratch((cin, th, tw, h, w, n), x.dtype)
-        for i, j, ys, xs, yr, xr in taps():
+    def im2col(y0, y1):
+        cols = _scratch((cin, th, tw, y1 - y0, w, n), x.dtype)
+        for i, j, ys, xs, yr, xr in taps(y0, y1):
             tap = cols[:, i, j]
             tap[:, : ys.start] = 0
             tap[:, ys.stop :] = 0
             tap[:, ys, : xs.start] = 0
             tap[:, ys, xs.stop :] = 0
             tap[:, ys, xs] = xt[:, yr, xr]
-        return cols.reshape(cin * th * tw, h * w * n)
+        return cols.reshape(cin * th * tw, (y1 - y0) * w * n)
 
     kmat = kernels.data[:, :, i0:i1, j0:j1].reshape(cout, cin * th * tw)
-    out = kmat @ im2col()
-    out += bias.data[:, None]
-    np.maximum(out, 0, out=out)
-    out = out.reshape(cout, h, w, n)
+    out = np.empty((cout, h, w, n), np.result_type(kmat, x.data))
+    for y0, y1 in bands:
+        band = out[:, y0:y1].reshape(cout, -1)  # a view: each channel's rows are contiguous
+        np.matmul(kmat, im2col(y0, y1), out=band)
+        band += bias.data[:, None]
+        np.maximum(band, 0, out=band)
 
     def _bw(g):
         gt = g.transpose(1, 2, 3, 0)
         gt *= out > 0
         g2 = gt.reshape(cout, h * w * n)
         _accumulate(bias, g2.sum(axis=1))
+        gk = 0
+        gx = np.zeros((cin, h, w, n), dtype=x.dtype) if x.requires_grad else None
+        for y0, y1 in bands:
+            gb = g2[:, y0 * w * n : y1 * w * n]
+            if kernels.requires_grad:
+                gk = gk + gb @ im2col(y0, y1).T
+            if gx is not None:
+                gcols = np.matmul(kmat.T, gb, out=_scratch((cin * th * tw, gb.shape[1]), g2.dtype))
+                gcols = gcols.reshape(cin, th, tw, y1 - y0, w, n)
+                for i, j, ys, xs, yr, xr in taps(y0, y1):
+                    gx[:, yr, xr] += gcols[:, i, j, ys, xs]
         if kernels.requires_grad:
-            gk = (g2 @ im2col().T).reshape(cout, cin, th, tw)
+            gk = gk.reshape(cout, cin, th, tw)
             if (th, tw) != (kh, kw):
                 gk = np.pad(gk, ((0, 0), (0, 0), (i0, kh - i1), (j0, kw - j1)))
             _accumulate(kernels, gk, owned=True)
-        if x.requires_grad:
-            gcols = np.matmul(kmat.T, g2, out=_scratch((cin * th * tw, h * w * n), g2.dtype))
-            gcols = gcols.reshape(cin, th, tw, h, w, n)
-            gx = np.zeros((cin, h, w, n), dtype=x.dtype)
-            for i, j, ys, xs, yr, xr in taps():
-                gx[:, yr, xr] += gcols[:, i, j, ys, xs]
+        if gx is not None:
             _accumulate(x, gx.transpose(3, 0, 1, 2), owned=True)
 
     return Tensor(out.transpose(3, 0, 1, 2), _parents=(x, kernels, bias), _backward=_bw, _op="conv2d")

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import write_checkpoint
+from .checkpoint import replacing, write_checkpoint
 from .errors import ConfigError, TrainingDivergedError, config_kwargs, require_types
 from .head import bce_with_logits_loss, predict
 from .metrics import MetricsReport, aggregate
@@ -149,10 +149,11 @@ def _epoch_order(n: int, seed: int, epoch: int, shuffle: bool) -> np.ndarray:
 def train(model: Model, samples, cfg: TrainConfig, out_dir=None, run_config: dict = None) -> TrainResult:
     """Seeded epoch loop: shuffle, batch, forward, backward, optimizer step.
 
-    Appends the mean per-sample loss of every epoch to the trajectory,
-    writes `loss_log.txt` and checkpoints under out_dir when given, and
-    aborts on a non-finite loss or before checkpointing a non-finite
-    parameter.
+    Appends the mean per-sample loss of every epoch to the trajectory.
+    When out_dir is given, rewrites `loss_log.txt` after every epoch, so it
+    always holds the epochs completed so far, and writes checkpoints.
+    Raises TrainingDivergedError on a non-finite loss or before
+    checkpointing a non-finite parameter.
     """
     cfg.validate()
     if not samples:
@@ -180,7 +181,8 @@ def train(model: Model, samples, cfg: TrainConfig, out_dir=None, run_config: dic
             batch = [samples[i] for i in order[start : start + cfg.batch_size]]
             targets = np.stack([s.labels for s in batch]).astype(np.float32)
             model.zero_grad()
-            loss = bce_with_logits_loss(model.forward_samples(batch).scores, targets)
+            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss is reported below
+                loss = bce_with_logits_loss(model.forward_samples(batch).scores, targets)
             loss_value = loss.item()
             if not np.isfinite(loss_value):
                 raise TrainingDivergedError(
@@ -192,15 +194,17 @@ def train(model: Model, samples, cfg: TrainConfig, out_dir=None, run_config: dic
             total_loss += loss_value * len(batch)
         result.loss_trajectory.append(total_loss / len(samples))
 
-        if out is not None and cfg.checkpoint_every and epoch % cfg.checkpoint_every == 0:
-            save(out / f"checkpoint-{epoch:04d}.mac", epoch)
+        if out is not None:
+            log = "".join(f"{n}\t{value:.8e}\n" for n, value in enumerate(result.loss_trajectory, start=1))
+            with replacing(out / "loss_log.txt") as f:
+                f.write(log.encode("utf-8"))
+            if cfg.checkpoint_every and epoch % cfg.checkpoint_every == 0:
+                save(out / f"checkpoint-{epoch:04d}.mac", epoch)
 
     if out is not None:
         final = out / "checkpoint-final.mac"
         save(final, cfg.epochs)
         result.final_checkpoint = str(final)
-        log_lines = [f"{epoch}\t{loss:.8e}" for epoch, loss in enumerate(result.loss_trajectory, start=1)]
-        (out / "loss_log.txt").write_text("\n".join(log_lines) + "\n", encoding="utf-8")
     return result
 
 

@@ -108,6 +108,37 @@ class TestRoundTrip:
             np.testing.assert_array_equal(model.parameters[name].data, params[name].data)
 
 
+class TestStreamedRead:
+    def test_read_and_load_hold_the_file_once(self, tmp_path):
+        """Each entry is read from the file straight into its own array, and
+        loading float32 values into a float32 model copies none of them:
+        the traced peak stays under 1.2 times the 9 MB file, where reading
+        the file into memory and copying the entries out held it twice."""
+        model, state = tiny_model_after_one_adam_step()
+        path = tmp_path / "ck.mac"
+        write_checkpoint(path, model.parameters, state, 1, {"model": {}})
+        tracemalloc.start()
+        try:
+            stored = read_checkpoint(path)
+            load_parameters(model, stored.params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 8e6
+        assert peak < 1.2 * path.stat().st_size
+        assert all(model.parameters[name].data is value for name, value in stored.params.items())
+
+    def test_load_into_float64_model_converts(self, tmp_path):
+        rng = np.random.default_rng(4)
+        params = some_params(rng)
+        write_checkpoint(tmp_path / "ck.mac", params, {}, 0, {})
+        model = FakeModel(some_params(np.random.default_rng(5)), dtype=np.float64)
+        load_parameters(model, read_checkpoint(tmp_path / "ck.mac").params)
+        for name, tensor in model.parameters.items():
+            assert tensor.dtype == np.float64
+            np.testing.assert_array_equal(tensor.data, params[name].data)
+
+
 class TestStreamedWrite:
     def test_write_holds_no_copy_of_the_file(self, tmp_path):
         """The entries go straight to the file: the traced peak stays far

@@ -110,6 +110,16 @@ class TestTrain:
         assert_one_error_line(capsys.readouterr().err, "non-finite parameter")
         assert not list(out.glob("*.mac"))
 
+    def test_divergence_in_epoch_2_exits_1_keeping_the_loss_log(self, workspace, tmp_path, capsys):
+        """The overflowed parameters of epoch 1 make epoch 2's loss
+        non-finite; the forward through them prints no numpy warning."""
+        out = tmp_path / "o"
+        assert main(["train", "--data", str(workspace["data"]), "--out", str(out),
+                     "--epochs", "2", "--batch-size", "64", "--lr", "1e39"]) == 1
+        assert_one_error_line(capsys.readouterr().err, "epoch 2, batch 0")
+        assert len((out / "loss_log.txt").read_text().splitlines()) == 1
+        assert not list(out.glob("*.mac"))
+
     def test_diverged_training_prints_only_its_error_line(self, workspace, tmp_path):
         """In a fresh interpreter with default warning filters, the
         overflowing optimizer step adds no numpy warning to stderr."""

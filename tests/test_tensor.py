@@ -251,6 +251,31 @@ class TestConv2d:
                 assert not np.shares_memory(a, other)
 
 
+class TestConv2dOneRowBands(TestConv2d):
+    """Every TestConv2d case again with a band budget of one byte, so conv2d
+    walks its output one row per band: taps straddle band edges, and a 5x5
+    on a 7-row map reads padding in the first and last two bands."""
+
+    @pytest.fixture(autouse=True)
+    def one_row_bands(self, monkeypatch):
+        monkeypatch.setattr(T, "_BAND_BYTES", 1)
+
+    def test_uneven_bands_match_sliding_window(self, monkeypatch):
+        """Bands of 2 and of 3 rows leave a shorter last band on a 7-row map."""
+        rng = RNG(15)
+        x0, k0, b0 = rng.normal(size=(2, 2, 7, 5)), rng.normal(size=(3, 2, 5, 5)) * 0.3, rng.normal(size=3)
+        g0 = rng.normal(size=(2, 3, 7, 5))
+        want = [np.maximum(naive_conv(x0, k0, b0), 0), *naive_conv_grads(x0, k0, b0, g0)]
+        one_row = 2 * 25 * 5 * 2 * 8  # Cin*kh*kw*W*N float64 patch-matrix values
+        for rows in (2, 3):
+            monkeypatch.setattr(T, "_BAND_BYTES", rows * one_row)
+            x, k, b = (T.Tensor(a, requires_grad=True) for a in (x0, k0, b0))
+            out = T.conv2d(x, k, b)
+            weighted_sum(out, T.Tensor(g0)).backward()
+            for got, expected in zip((out.data, x.grad, k.grad, b.grad), want):
+                np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+
 class TestScratchBuffer:
     @staticmethod
     def conv_case(rng, n, cin, cout, size, k, dtype=np.float32):
@@ -312,6 +337,21 @@ class TestScratchBuffer:
         assert x.grad is not None and k1.grad is not None
         cols = 25 * act
         assert peak < 3 * act + cols + 20 * act
+
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_first_bigearthnet_layer_keeps_scratch_within_one_band(self, n, monkeypatch):
+        """The 10 m branch's first layer (5x5, 4->32, 30x30 patches; N = 128
+        is batch 8) would need a 46 MB patch matrix at N = 128 and 92 MB at
+        256; forward and backward, the scratch buffer stays within the band
+        budget, or one output row's matrix where that is larger."""
+        rng = RNG(16)
+        case = self.conv_case(rng, n, 4, 32, 30, 5)
+        monkeypatch.setattr(T, "_scratch_bytes", np.empty(0, np.uint8))
+        out, loss, leaves = self.forward(case)
+        loss.backward()
+        assert all(leaf.grad is not None for leaf in leaves)
+        one_row = 4 * 25 * 30 * n * 4
+        assert 0 < T._scratch_bytes.nbytes <= max(T._BAND_BYTES, one_row)
 
 
 class TestMaxpool2:

@@ -136,8 +136,11 @@ class TestTrainLoop:
         log = (tmp_path / "loss_log.txt").read_text().splitlines()
         assert len(log) == 3
         assert all(len(line.split("\t")) == 2 for line in log)
+        assert log == [f"{n}\t{loss:.8e}" for n, loss in enumerate(result.loss_trajectory, start=1)]
         assert (tmp_path / "checkpoint-0002.mac").exists()
         assert result.final_checkpoint.endswith("checkpoint-final.mac")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "checkpoint-0002.mac", "checkpoint-final.mac", "loss_log.txt"]  # no temp file left
 
     def test_training_reduces_loss(self):
         model, samples = tiny_model_and_samples(n=4)
@@ -149,6 +152,19 @@ class TestTrainLoop:
         samples[2].subsets[0][0, 0, 0] = np.nan
         with pytest.raises(TrainingDivergedError, match=r"epoch 1, batch \d"):
             train(model, samples, TrainConfig(epochs=1, batch_size=2, seed=0))
+
+    def test_divergence_in_epoch_2_keeps_the_log_of_epoch_1(self, tmp_path):
+        """One batch per epoch at a learning rate that overflows the first
+        step: epoch 1's loss is finite, epoch 2's is not. The log of epoch 1
+        is in place, with no temp file beside it and no checkpoint."""
+        model, samples = tiny_model_and_samples(n=4)
+        cfg = TrainConfig(epochs=3, batch_size=4, seed=0, learning_rate=1e39)
+        with pytest.raises(TrainingDivergedError, match=r"epoch 2, batch 0"):
+            train(model, samples, cfg, out_dir=tmp_path)
+        log = (tmp_path / "loss_log.txt").read_text().splitlines()
+        assert len(log) == 1 and log[0].startswith("1\t")
+        assert np.isfinite(float(log[0].split("\t")[1]))
+        assert [p.name for p in tmp_path.iterdir()] == ["loss_log.txt"]
 
     @pytest.mark.parametrize("checkpoint_every", [0, 1])
     def test_non_finite_parameters_are_never_checkpointed(self, tmp_path, checkpoint_every):
