@@ -30,7 +30,7 @@ a = Tensor(np.array(3.0), requires_grad=True)
 print(f"d(a+a)/da = {a.grad} (two paths, one tensor)")
 
 print("\n== convolution with 'same' zero padding ==")
-# conv2d and maxpool2 take batches (N, C, H, W); here a batch of one image.
+# conv2d takes batches (N, C, H, W); here a batch of one image.
 # conv2d includes its ReLU: every output is max(0, correlation + bias)
 image = Tensor(np.ones((1, 1, 3, 3), np.float32))
 kernel = Tensor(np.ones((1, 1, 3, 3), np.float32))
@@ -39,8 +39,11 @@ print("all-ones 3x3 image, all-ones 3x3 kernel counts its neighbourhood:")
 print(out.data[0, 0])
 
 print("\n== max pooling keeps spatial floor semantics ==")
+# pool=True adds 2x2 max pooling with stride 2 after the ReLU
 tall = Tensor(rng.normal(size=(2, 4, 15, 15)))
-print(f"15x15 pools to {T.maxpool2(tall).shape[-2:]} (odd row/column dropped)")
+kernels4 = Tensor(rng.normal(size=(4, 4, 3, 3)))
+pooled = T.conv2d(tall, kernels4, Tensor(np.zeros(4)), pool=True)
+print(f"15x15 pools to {pooled.shape[-2:]} (odd row/column dropped)")
 
 print("\n== analytic vs numeric gradients ==")
 x64 = Tensor(rng.normal(size=(2, 2, 6, 6)), requires_grad=True)

@@ -194,10 +194,14 @@ def check_module_gradients(seed: int = 0, step: float = DEFAULT_STEP) -> list:
          "input (1x2 map)": xs, "kernels (1x2 map)": ks, "bias (1x2 map)": bs},
         step=step, label="conv2d"))
 
-    xp = Tensor(rng.normal(size=(2, 2, 6, 6)), requires_grad=True)
-    wp = Tensor(rng.normal(size=(2, 2, 3, 3)))
+    # the pooled epilogue on an odd map, whose trailing row and column are dropped
+    xp = Tensor(rng.normal(size=(2, 2, 7, 5)), requires_grad=True)
+    kp = Tensor(rng.normal(size=(3, 2, 3, 3)) * 0.5, requires_grad=True)
+    bp = Tensor(rng.normal(size=3), requires_grad=True)
+    wp = Tensor(rng.normal(size=(2, 3, 3, 2)))
     reports.append(check_parameters(
-        lambda: weighted(T.maxpool2(xp), wp), {"input": xp}, step=step, label="maxpool2"))
+        lambda: weighted(T.conv2d(xp, kp, bp, pool=True), wp), {"input": xp, "kernels": kp, "bias": bp},
+        step=step, label="maxpool2"))
 
     xf = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     wf = Tensor(rng.normal(size=(2, 4)), requires_grad=True)

@@ -163,8 +163,8 @@ def make_branch_params(spec: BranchSpec, in_bands: int, in_h: int, in_w: int,
 
 
 def branch_forward(x: Tensor, spec: BranchSpec, params: BranchParams) -> Tensor:
-    """One branch: conv/ReLU stack (ReLU fused into ``conv2d``) with
-    configured pooling, then an FC layer with ReLU.
+    """One branch: conv/ReLU stack with configured pooling, both fused into
+    ``conv2d``, then an FC layer with ReLU.
 
     Accepts a stack (N, bands, h, w) or a single patch (bands, h, w), which
     runs as a stack of one and gives a 1-d output.
@@ -174,9 +174,7 @@ def branch_forward(x: Tensor, spec: BranchSpec, params: BranchParams) -> Tensor:
         raise ShapeError(f"branch expects {expected} bands, got input {x.shape}")
     out = x if x.ndim == 4 else T.reshape(x, (1,) + x.shape)
     for layer, kernels, bias in zip(spec.layers, params.conv_kernels, params.conv_biases):
-        out = T.conv2d(out, kernels, bias)
-        if layer.pool:
-            out = T.maxpool2(out)
+        out = T.conv2d(out, kernels, bias, pool=layer.pool)
     flat = T.reshape(out, x.shape[:-3] + (-1,))
     return T.relu(T.fc(flat, params.fc.weight, params.fc.bias))
 

@@ -317,17 +317,47 @@ def _scratch(shape, dtype) -> np.ndarray:
     return _scratch_bytes[:nbytes].view(dtype).reshape(shape)
 
 
-def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
-    """ReLU of a 2-d cross-correlation with stride 1 and "same" zero padding.
+def _pool2(full: np.ndarray, out: np.ndarray, win: np.ndarray):
+    """2x2 max pooling of a (C, r, 2, w2, 2, N) band of windows into
+    ``out`` (C, r, w2, N), and into ``win`` the row-major tap 0..3 of each
+    window's first maximum. A NaN tap makes its window's maximum NaN."""
+    q00, q01, q10, q11 = (full[:, :, i, :, j] for i in (0, 1) for j in (0, 1))
+    top = np.maximum(q00, q01)
+    np.maximum(q10, q11, out=out)
+    lower = np.greater(out, top)  # a tie goes to the top row
+    np.maximum(top, out, out=out)
+    right = np.greater(q01, q00)
+    right_lower = np.greater(q11, q10)
+    right_lower ^= right
+    right_lower &= lower
+    right ^= right_lower  # the right tap of whichever row won
+    np.add(lower, lower, out=win, dtype=np.uint8)
+    win += right
+
+
+def _unpool2(g: np.ndarray, win: np.ndarray, full: np.ndarray) -> np.ndarray:
+    """Route each pooled gradient of g (C, r, w2, N) to its window's winning
+    tap in ``full`` (C, r, 2, w2, 2, N) and zero the other three taps (NaN
+    where g is NaN); returns ``full`` as a (C, r*2*w2*2*N) matrix."""
+    for q in range(4):
+        np.multiply(g, win == q, out=full[:, :, q // 2, :, q % 2])
+    return full.reshape(full.shape[0], -1)
+
+
+def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, pool: bool = False) -> Tensor:
+    """ReLU of a 2-d cross-correlation with stride 1 and "same" zero
+    padding, optionally followed by 2x2 max pooling with stride 2.
 
     x: (N, Cin, H, W); kernels: (Cout, Cin, kh, kw); bias: (Cout,). Output
-    spatial size equals input spatial size. Even kernels pad one extra
-    row/column on the top/left.
+    spatial size equals input spatial size, or (H // 2, W // 2) with
+    ``pool``: a trailing odd row/column is dropped, so the convolution
+    computes only the 2*(H // 2) x 2*(W // 2) outputs the pool reads. Even
+    kernels pad one extra row/column on the top/left.
 
     The batch axis runs innermost inside: the input is read as a
     (Cin, H, W, N) array, a view when it is already stored that way (a
-    conv2d or maxpool2 result), so each im2col tap copy and each col2im add
-    moves contiguous runs of W*N values, and the (Cout, H, W, N) product is
+    conv2d result), so each im2col tap copy and each col2im add moves
+    contiguous runs of W*N values, and the (Cout, H, W, N) result is
     returned as an (N, Cout, H, W) view. No padded copy is made: each tap
     copies its in-map block and zeroes the border strips that would read
     padding, and the backward adds each tap's in-map block straight into
@@ -336,14 +366,22 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
 
     The im2col matrix is never built whole. The output is walked in bands
     of whole output rows, as many as fit ``_BAND_BYTES`` of patch matrix
-    and at least one, and each band's matrix is built in the scratch
-    buffer over the previous band's. The forward multiplies each band
-    straight into its rows of the output and adds bias and ReLU there; the
-    backward rebuilds each band's matrix for its share of the kernel
-    gradient, then overwrites it with the band's patch-matrix gradient and
-    adds that into the input gradient. The ReLU mask is applied to the
-    incoming gradient in place, which the engine allows because each node
-    owns its gradient and drops it after its step.
+    and at least one (an even number, at least two, when pooling, so that
+    bands hold whole windows), and each band's matrix is built in the
+    scratch buffer over the previous band's. The forward multiplies each
+    band straight into its rows of the output; a pooled band goes into one
+    full-resolution band buffer, is pooled from there while it is still in
+    cache, and only the pooled rows and a uint8 index of each window's
+    first (row-major) maximum are kept. Bias and ReLU then go on the kept
+    rows: both are monotone, so adding them after the maximum gives the
+    same values on a quarter of the elements. The backward rebuilds each
+    band's matrix for its share of the kernel gradient, then overwrites it
+    with the band's patch-matrix gradient and adds that into the input
+    gradient; a pooled band first rebuilds its full-resolution gradient,
+    the pooled gradient at each winning tap and zero elsewhere, in one
+    reused band buffer. The ReLU mask is applied to the incoming gradient
+    in place, which the engine allows because each node owns its gradient
+    and drops it after its step.
     """
     if kernels.ndim != 4:
         raise ShapeError(f"conv2d kernels must be 4-d, got {kernels.shape}")
@@ -357,12 +395,17 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"conv2d bias must be ({cout},), got {bias.shape}")
     if kh < 1 or kw < 1 or h < 1 or w < 1:
         raise ShapeError(f"conv2d kernel {kernels.shape} does not fit padded input {x.shape}")
+    if pool and (h < 2 or w < 2):
+        raise ShapeError(f"conv2d pooling needs spatial size >= 2, got {x.shape}")
     i0, i1, pt = _live_taps(kh, h)
     j0, j1, pl = _live_taps(kw, w)
     th, tw = i1 - i0, j1 - j0
+    s = 2 if pool else 1  # pooling stride
+    hc, wc = h - h % s, w - w % s  # the outputs computed
     xt = np.ascontiguousarray(x.data.transpose(1, 2, 3, 0))
-    rows = max(1, _BAND_BYTES // (cin * th * tw * w * n * x.dtype.itemsize))
-    bands = [(y0, min(y0 + rows, h)) for y0 in range(0, h, rows)]
+    rows = _BAND_BYTES // (cin * th * tw * wc * n * x.dtype.itemsize)
+    rows = max(s, rows - rows % s)  # a pooled band holds whole windows
+    bands = [(y0, min(y0 + rows, hc)) for y0 in range(0, hc, rows)]
 
     def taps(y0, y1):
         """Per live tap (i, j) and the output rows [y0, y1): its in-map
@@ -371,11 +414,11 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
         for i in range(th):
             ys, yr = _in_map(y0 + i - pt, h, y1 - y0)
             for j in range(tw):
-                xs, xr = _in_map(j - pl, w, w)
+                xs, xr = _in_map(j - pl, w, wc)
                 yield i, j, ys, xs, yr, xr
 
     def im2col(y0, y1):
-        cols = _scratch((cin, th, tw, y1 - y0, w, n), x.dtype)
+        cols = _scratch((cin, th, tw, y1 - y0, wc, n), x.dtype)
         for i, j, ys, xs, yr, xr in taps(y0, y1):
             tap = cols[:, i, j]
             tap[:, : ys.start] = 0
@@ -383,30 +426,48 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
             tap[:, ys, : xs.start] = 0
             tap[:, ys, xs.stop :] = 0
             tap[:, ys, xs] = xt[:, yr, xr]
-        return cols.reshape(cin * th * tw, (y1 - y0) * w * n)
+        return cols.reshape(cin * th * tw, (y1 - y0) * wc * n)
+
+    def windows(buf, y0, y1):
+        """The first rows of a flat band buffer as the band's 2x2 windows."""
+        return buf[: cout * (y1 - y0) * wc * n].reshape(cout, (y1 - y0) // 2, 2, wc // 2, 2, n)
 
     kmat = kernels.data[:, :, i0:i1, j0:j1].reshape(cout, cin * th * tw)
-    out = np.empty((cout, h, w, n), np.result_type(kmat, x.data))
+    dtype = np.result_type(kmat, x.data)
+    out = np.empty((cout, hc // s, wc // s, n), dtype)
+    win = np.empty(out.shape, np.uint8) if pool else None
+    band_len = cout * min(rows, hc) * wc * n  # one full-resolution band of output
+    full = np.empty(band_len, dtype) if pool else None
     for y0, y1 in bands:
-        band = out[:, y0:y1].reshape(cout, -1)  # a view: each channel's rows are contiguous
-        np.matmul(kmat, im2col(y0, y1), out=band)
+        band = out[:, y0 // s : y1 // s]  # a view: each channel's rows are contiguous
+        if pool:
+            prod = windows(full, y0, y1)
+            np.matmul(kmat, im2col(y0, y1), out=prod.reshape(cout, -1))
+            _pool2(prod, band, win[:, y0 // 2 : y1 // 2])
+        else:
+            np.matmul(kmat, im2col(y0, y1), out=band.reshape(cout, -1))
+        band = band.reshape(cout, -1)
         band += bias.data[:, None]
         np.maximum(band, 0, out=band)
 
     def _bw(g):
         gt = g.transpose(1, 2, 3, 0)
         gt *= out > 0
-        g2 = gt.reshape(cout, h * w * n)
+        g2 = gt.reshape(cout, -1)
         _accumulate(bias, g2.sum(axis=1))
         gk = 0
         gx = np.zeros((cin, h, w, n), dtype=x.dtype) if x.requires_grad else None
+        gfull = np.empty(band_len, g2.dtype) if pool else None
+        row = out.shape[2] * n  # g2 columns per output row
         for y0, y1 in bands:
-            gb = g2[:, y0 * w * n : y1 * w * n]
+            gb = g2[:, y0 // s * row : y1 // s * row]
+            if pool:
+                gb = _unpool2(gb.reshape(cout, -1, wc // 2, n), win[:, y0 // 2 : y1 // 2], windows(gfull, y0, y1))
             if kernels.requires_grad:
                 gk = gk + gb @ im2col(y0, y1).T
             if gx is not None:
                 gcols = np.matmul(kmat.T, gb, out=_scratch((cin * th * tw, gb.shape[1]), g2.dtype))
-                gcols = gcols.reshape(cin, th, tw, y1 - y0, w, n)
+                gcols = gcols.reshape(cin, th, tw, y1 - y0, wc, n)
                 for i, j, ys, xs, yr, xr in taps(y0, y1):
                     gx[:, yr, xr] += gcols[:, i, j, ys, xs]
         if kernels.requires_grad:
@@ -418,43 +479,6 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
             _accumulate(x, gx.transpose(3, 0, 1, 2), owned=True)
 
     return Tensor(out.transpose(3, 0, 1, 2), _parents=(x, kernels, bias), _backward=_bw, _op="conv2d")
-
-
-def _quadrants(a: np.ndarray, h2: int, w2: int) -> list:
-    """The four stride-2 views of a's 2x2 windows, in row-major tap order."""
-    return [a[:, :, i : 2 * h2 : 2, j : 2 * w2 : 2] for i in (0, 1) for j in (0, 1)]
-
-
-def maxpool2(x: Tensor) -> Tensor:
-    """2x2 max pooling with stride 2 over (N, C, H, W); a trailing odd
-    row/column is dropped.
-
-    The gradient flows to the first (row-major) maximum of each window.
-    """
-    if x.ndim != 4:
-        raise ShapeError(f"maxpool2 input must be (N,C,H,W), got {x.shape}")
-    h, w = x.shape[2:]
-    if h < 2 or w < 2:
-        raise ShapeError(f"maxpool2 needs spatial size >= 2, got {x.shape}")
-    h2, w2 = h // 2, w // 2
-    q00, q01, q10, q11 = _quadrants(x.data, h2, w2)
-    out_data = np.maximum(np.maximum(q00, q01), np.maximum(q10, q11))
-
-    def _bw(g):
-        # the four quadrant writes cover every element but a trailing odd
-        # row/column, which gets no gradient
-        gx = np.empty_like(x.data)
-        gx[:, :, 2 * h2 :] = 0
-        gx[:, :, :, 2 * w2 :] = 0
-        free = np.ones_like(out_data, dtype=bool)  # windows whose max is not yet routed
-        for q, gq in zip(_quadrants(x.data, h2, w2), _quadrants(gx, h2, w2)):
-            hit = np.equal(q, out_data)
-            hit &= free
-            np.multiply(g, hit, out=gq)
-            free ^= hit
-        _accumulate(x, gx, owned=True)
-
-    return Tensor(out_data, _parents=(x,), _backward=_bw, _op="maxpool2")
 
 
 # ---------------------------------------------------------------------------

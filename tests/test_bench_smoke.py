@@ -31,5 +31,5 @@ def test_traced_tiny_training_run():
     """An engine change that empties the graph before bench/layer_trace.py
     counts it, or breaks its per-layer backward, fails here."""
     result = run_tiny_training("1")
-    assert result["metrics"]["tensor.nodes"]["value"] == 105
+    assert result["metrics"]["tensor.nodes"]["value"] == 102
     assert result["metrics"]["birnn.nodes"]["value"] == 20

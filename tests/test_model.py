@@ -257,29 +257,30 @@ class TestModelForward:
         np.testing.assert_array_equal(direct.data, via_split.data)
 
 
+def model_and_batch(batch, profile="tiny", n_classes=8):
+    shapes = PROFILES[profile].subset_shapes
+    model = Model(ModelConfig(n_classes=n_classes, subset_shapes=shapes), seed=0)
+    rng = np.random.default_rng(0)
+    arrays = [rng.normal(size=(batch,) + tuple(s)).astype(np.float32) for s in shapes]
+    targets = (rng.random((batch, n_classes)) < 0.5).astype(np.float32)
+    return model, arrays, targets
+
+
 class TestTinyTrainingStep:
     """One step of the default tiny model: forward, loss and backward."""
-
-    @staticmethod
-    def model_and_batch(batch):
-        shapes = PROFILES["tiny"].subset_shapes
-        model = Model(ModelConfig(n_classes=8, subset_shapes=shapes), seed=0)
-        rng = np.random.default_rng(0)
-        arrays = [rng.normal(size=(batch,) + tuple(s)).astype(np.float32) for s in shapes]
-        targets = (rng.random((batch, 8)) < 0.5).astype(np.float32)
-        return model, arrays, targets
 
     def test_backward_spends_the_graph(self):
         """After backward every operation result has dropped its gradient
         and closure but still holds its data and parents; a second backward
         through the graph raises and leaves the parameter gradients as
         they were."""
-        model, arrays, targets = self.model_and_batch(2)
+        model, arrays, targets = model_and_batch(2)
         scores = model.forward(arrays).scores
         loss = bce_with_logits_loss(scores, targets)
         loss.backward()
         nodes = T.Graph.trace(loss).nodes
-        assert len(nodes) == 105
+        assert len(nodes) == 102
+        assert "maxpool2" not in {n._op for n in nodes}  # pooling runs inside conv2d
         ops = [n for n in nodes if n._parents]
         assert ops and all(n.grad is None and n._backward is None and n.data is not None for n in ops)
         grads = {name: p.grad.copy() for name, p in model.parameters.items()}
@@ -294,7 +295,7 @@ class TestTinyTrainingStep:
         stays below 26 MB. Keeping every op's gradient and closure to the
         end of backward, a padded input per conv and a masked copy of each
         conv gradient took it to 34.5 MB."""
-        model, arrays, targets = self.model_and_batch(32)
+        model, arrays, targets = model_and_batch(32)
         bce_with_logits_loss(model.forward(arrays).scores, targets).backward()
         model.zero_grad()
         tracemalloc.start()
@@ -304,6 +305,48 @@ class TestTinyTrainingStep:
         finally:
             tracemalloc.stop()
         assert peak < 26 * 2 ** 20
+
+
+class TestBigEarthNetShapedPeakMemory:
+    """Traced peaks at batch 8 (128 patches) of BigEarthNet-shaped inputs,
+    measured from an empty conv2d scratch buffer so that its band counts.
+    Pooling as a separate op kept every full-resolution output of a pooled
+    conv layer to the end of backward, and its backward built a second
+    full-resolution array: the step peaked at 82.3 MB and the no-grad
+    forward at 33.7 MB."""
+
+    @pytest.fixture(scope="class")
+    def warm(self):
+        model, arrays, targets = model_and_batch(8, "bigearthnet-shaped", 4)
+        bce_with_logits_loss(model.forward(arrays).scores, targets).backward()
+        model.zero_grad()
+        return model, arrays, targets
+
+    @staticmethod
+    def traced_peak_mb(fn, monkeypatch):
+        monkeypatch.setattr(T, "_scratch_bytes", np.empty(0, np.uint8))
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+
+    def test_training_step(self, warm, monkeypatch):
+        model, arrays, targets = warm
+        model.zero_grad()
+        peak = self.traced_peak_mb(
+            lambda: bce_with_logits_loss(model.forward(arrays).scores, targets).backward(), monkeypatch)
+        assert peak <= 56
+
+    def test_no_grad_forward(self, warm, monkeypatch):
+        model, arrays, _ = warm
+
+        def forward():
+            with T.no_grad():
+                model.forward(arrays)
+
+        assert self.traced_peak_mb(forward, monkeypatch) <= 28
 
 
 class TestPredictProbabilities:

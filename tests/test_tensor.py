@@ -1,5 +1,6 @@
 """Autodiff engine: forward values, backward rules, graph invariants."""
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -80,6 +81,44 @@ def first_max_mask(x):
     for t in range(4):
         mask[:, :, t // 2 : 2 * h2 : 2, t % 2 : 2 * w2 : 2] = idx == t
     return mask
+
+
+def naive_pooled_conv(x, k, b, g):
+    """Float64 maxpool(relu(naive_conv(x, k, b))), 2x2 windows with stride
+    2 and a trailing odd row/column dropped, and its gradients for x, k and
+    b under the pooled upstream gradient g: g goes to each window's first
+    maximum, so the dropped row and column only get gradient through the
+    convolution taps of the outputs that are pooled."""
+    act = np.maximum(naive_conv(x, k, b), 0)
+    n, c, h, w = act.shape
+    h2, w2 = h // 2, w // 2
+    out = act[:, :, : 2 * h2, : 2 * w2].reshape(n, c, h2, 2, w2, 2).max(axis=(3, 5))
+    upsampled = np.zeros(act.shape)
+    upsampled[:, :, : 2 * h2, : 2 * w2] = g.repeat(2, axis=2).repeat(2, axis=3)
+    return [out, *naive_conv_grads(x, k, b, first_max_mask(act) * upsampled)]
+
+
+def pool_through_identity(x):
+    """relu(x) max-pooled by conv2d's epilogue, through an identity 1x1
+    kernel and zero bias."""
+    c = x.shape[1]
+    eye = T.Tensor(np.eye(c, dtype=x.dtype).reshape(c, c, 1, 1))
+    return T.conv2d(x, eye, T.Tensor(np.zeros(c, x.dtype)), pool=True)
+
+
+# (N, Cin, Cout, H, W, kernel): odd maps, and a kernel wider than its map
+POOLED_CASES = {"15x15": (1, 1, 2, 15, 15, 3), "7x5": (2, 2, 3, 7, 5, 5), "3x2": (3, 2, 4, 3, 2, 3)}
+
+
+@functools.lru_cache(maxsize=None)
+def pooled_case(name):
+    """Float64 inputs, pooled upstream gradient and naive_pooled_conv
+    oracle of one POOLED_CASES entry, computed once per test session."""
+    n, cin, cout, h, w, k = POOLED_CASES[name]
+    rng = RNG(20)
+    x, kern, b = rng.normal(size=(n, cin, h, w)), rng.normal(size=(cout, cin, k, k)) * 0.5, rng.normal(size=cout)
+    g = rng.normal(size=(n, cout, h // 2, w // 2))
+    return (x, kern, b, g), naive_pooled_conv(x, kern, b, g)
 
 
 class TestMatmul:
@@ -227,7 +266,7 @@ class TestConv2d:
 
     @pytest.mark.parametrize("conv_first", [True, False])
     def test_owned_gradients_sum_over_consumers(self, conv_first):
-        """conv2d and maxpool2 hand their fresh gradient buffers over as
+        """conv2d, pooled or not, hands its fresh gradient buffers over as
         .grad; a tensor that feeds both still gets the sum of both, and no
         two tensors share one gradient array."""
         rng = RNG(12)
@@ -235,10 +274,10 @@ class TestConv2d:
         k = T.Tensor(rng.normal(size=(3, 2, 3, 3)) * 0.5, requires_grad=True)
         b = T.Tensor(rng.normal(size=3), requires_grad=True)
         w_conv = T.Tensor(rng.normal(size=(2, 3, 4, 5)))
-        w_pool = T.Tensor(rng.normal(size=(2, 2, 2, 2)))
+        w_pool = T.Tensor(rng.normal(size=(2, 3, 2, 2)))
 
         def loss():
-            terms = [weighted_sum(T.conv2d(x, k, b), w_conv), weighted_sum(T.maxpool2(x), w_pool)]
+            terms = [weighted_sum(T.conv2d(x, k, b), w_conv), weighted_sum(T.conv2d(x, k, b, pool=True), w_pool)]
             return T.add(*(terms if conv_first else terms[::-1]))
 
         fd_check(loss, [x, k, b])
@@ -354,42 +393,116 @@ class TestScratchBuffer:
         assert 0 < T._scratch_bytes.nbytes <= max(T._BAND_BYTES, one_row)
 
 
+class TestPooledConv2d:
+    """conv2d(..., pool=True): the convolution computes only the outputs
+    its 2x2 windows read, keeps the pooled maximum and the index of each
+    window's first maximum, and routes the gradient through that index."""
+
+    @pytest.mark.parametrize("name", POOLED_CASES)
+    def test_matches_pooled_sliding_window(self, name, monkeypatch):
+        """Output and all three gradients match the float64 oracle in
+        float64 and float32, from an NCHW-contiguous input and from a
+        conv2d-output view, with the scratch buffer full of NaN bytes before
+        the forward and before the backward."""
+        (x0, k0, b0, g0), want = pooled_case(name)
+        monkeypatch.setattr(T, "_scratch_bytes", np.empty(8 * k0[0].size * x0.size, np.uint8))
+        for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-5)):
+            for layout in (np.ascontiguousarray, batch_innermost):
+                x = T.Tensor(layout(x0.astype(dtype)), requires_grad=True)
+                k, b = (T.Tensor(a.astype(dtype), requires_grad=True) for a in (k0, b0))
+                T._scratch_bytes.fill(0xFF)  # a NaN in every float32 and float64 slot
+                out = T.conv2d(x, k, b, pool=True)
+                T._scratch_bytes.fill(0xFF)
+                weighted_sum(out, T.Tensor(g0.astype(dtype))).backward()
+                assert out.dtype == dtype and out.shape == want[0].shape
+                for got, expected in zip((out.data, x.grad, k.grad, b.grad), want):
+                    np.testing.assert_allclose(got, expected, rtol=tol, atol=tol)
+
+    def test_nan_tap_makes_its_window_nan(self):
+        """A NaN at any one of the four taps gives its window a NaN maximum;
+        a window without one keeps its value."""
+        data = np.tile(np.array([[1.0, 2.0], [3.0, 4.0]], np.float32), (5, 1, 1, 1))
+        for t in range(4):
+            data[t, 0, t // 2, t % 2] = np.nan
+        out = pool_through_identity(T.Tensor(data)).data
+        assert np.isnan(out[:4]).all()
+        np.testing.assert_array_equal(out[4], [[[4.0]]])
+
+    def test_nan_gradient_reaches_all_four_taps(self):
+        """A NaN upstream gradient reaches every tap of its window, as NaN
+        times zero is NaN; other windows still route to their maximum."""
+        data = np.array([[[[1.0, 2.0, 5.0, 4.0], [3.0, 4.0, 1.0, 0.5]]]])
+        x = T.Tensor(data, requires_grad=True)
+        weighted_sum(pool_through_identity(x), T.Tensor(np.array([[[[np.nan, 3.0]]]]))).backward()
+        assert np.isnan(x.grad[..., :2]).all()
+        np.testing.assert_array_equal(x.grad[..., 2:], [[[[3.0, 0.0], [0.0, 0.0]]]])
+
+
+class TestPooledConv2dTwoRowBands(TestPooledConv2d):
+    """Every TestPooledConv2d case again with a band budget of one byte,
+    which pooling rounds up to two rows, the smallest band of whole
+    windows."""
+
+    @pytest.fixture(autouse=True)
+    def two_row_bands(self, monkeypatch):
+        monkeypatch.setattr(T, "_BAND_BYTES", 1)
+
+    @pytest.mark.parametrize("rows,band", [(3, 2), (5, 4), (7, 6)])
+    def test_odd_budgets_round_down_to_whole_windows(self, rows, band, monkeypatch):
+        """A budget of an odd number of rows runs bands of one row fewer,
+        with a shorter last band where 14 computed rows do not divide."""
+        (x0, k0, b0, g0), want = pooled_case("15x15")
+        one_row = 1 * 9 * 14 * 1 * 8  # Cin*kh*kw*(computed W)*N float64 patch-matrix values
+        monkeypatch.setattr(T, "_BAND_BYTES", rows * one_row)
+        monkeypatch.setattr(T, "_scratch_bytes", np.empty(0, np.uint8))
+        x, k, b = (T.Tensor(a, requires_grad=True) for a in (x0, k0, b0))
+        out = T.conv2d(x, k, b, pool=True)
+        assert T._scratch_bytes.nbytes == band * one_row
+        weighted_sum(out, T.Tensor(g0)).backward()
+        for got, expected in zip((out.data, x.grad, k.grad, b.grad), want):
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+
 class TestMaxpool2:
+    """2x2 max pooling, run as conv2d's epilogue through an identity 1x1
+    kernel with zero bias; inputs are positive wherever ReLU would otherwise
+    zero a tie."""
+
     def test_single_window(self):
         x = T.Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]], np.float32))
-        out = T.maxpool2(x)
+        out = pool_through_identity(x)
         np.testing.assert_array_equal(out.data, [[[[4.0]]]])
 
     def test_tie_gradient_goes_to_first_row_major(self):
         x = T.Tensor(np.ones((1, 1, 2, 2), np.float32), requires_grad=True)
-        loss = T.sum_all(T.maxpool2(x))
+        loss = T.sum_all(pool_through_identity(x))
         loss.backward()
         np.testing.assert_array_equal(x.grad, [[[[1.0, 0.0], [0.0, 0.0]]]])
 
     def test_15x15_floors_to_7x7(self):
-        out = T.maxpool2(T.Tensor(np.zeros((2, 4, 15, 15), np.float32)))
+        out = pool_through_identity(T.Tensor(np.zeros((2, 4, 15, 15), np.float32)))
         assert out.shape == (2, 4, 7, 7)
 
     def test_unbatched_input_rejected(self):
-        with pytest.raises(ShapeError, match=r"\(N,C,H,W\)"):
-            T.maxpool2(T.Tensor(np.zeros((2, 4, 4))))
+        with pytest.raises(ShapeError, match=r"\(N,Cin,H,W\)"):
+            pool_through_identity(T.Tensor(np.zeros((2, 4, 4))))
 
     def test_too_small_raises(self):
         with pytest.raises(ShapeError):
-            T.maxpool2(T.Tensor(np.zeros((1, 1, 1, 5))))
+            pool_through_identity(T.Tensor(np.zeros((1, 1, 1, 5))))
 
     def test_gradcheck_random(self):
         rng = RNG(8)
         x = T.Tensor(rng.normal(size=(2, 2, 6, 7)), requires_grad=True)
         w = T.Tensor(rng.normal(size=(2, 2, 3, 3)))
-        fd_check(lambda: weighted_sum(T.maxpool2(x), w), [x])
+        fd_check(lambda: weighted_sum(pool_through_identity(x), w), [x])
 
     def test_all_15_tie_patterns_route_to_first_row_major_max(self):
         # window p has its maxima (1.0) at the taps whose bit is set in p+1
         patterns = np.array([[(p >> t) & 1 for t in range(4)] for p in range(1, 16)], np.float32)
         x = T.Tensor(patterns.reshape(15, 1, 2, 2), requires_grad=True)
         g = np.arange(1, 16, dtype=np.float32).reshape(15, 1, 1, 1)
-        out = T.maxpool2(x)
+        out = pool_through_identity(x)
         T.sum_all(T.mul(out, T.Tensor(g))).backward()
         np.testing.assert_array_equal(out.data, np.ones((15, 1, 1, 1)))
         first = np.zeros((15, 4), np.float32)
@@ -398,12 +511,12 @@ class TestMaxpool2:
 
     def test_non_contiguous_input_with_ties(self):
         rng = RNG(11)
-        # few distinct levels, so many windows hold ties
-        data = batch_innermost(rng.integers(0, 3, size=(2, 3, 7, 6)).astype(np.float64))
+        # few distinct positive levels, so many windows hold ties
+        data = batch_innermost(rng.integers(1, 4, size=(2, 3, 7, 6)).astype(np.float64))
         assert not data.flags.c_contiguous
         x = T.Tensor(data, requires_grad=True)
         g = rng.normal(size=(2, 3, 3, 3))
-        out = T.maxpool2(x)
+        out = pool_through_identity(x)
         T.sum_all(T.mul(out, T.Tensor(g))).backward()
         np.testing.assert_array_equal(out.data, data[:, :, :6, :6].reshape(2, 3, 3, 2, 3, 2).max(axis=(3, 5)))
         upsampled = np.zeros(data.shape)
