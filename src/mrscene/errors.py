@@ -100,7 +100,10 @@ class BinaryReader:
         if nbytes > self.remaining:
             raise TruncatedFileError(f"{self.path}: file ends inside {what}")
         self.remaining -= nbytes
-        arr = np.empty(shape, dtype)
+        try:
+            arr = np.empty(shape, dtype)
+        except ValueError as exc:  # an empty shape whose other axes overflow numpy's size
+            raise FormatError(f"{self.path}: {what} has shape {tuple(shape)}, too large for an array") from exc
         if self.file.readinto(arr) != nbytes:  # the file shrank while it was read
             raise TruncatedFileError(f"{self.path}: file ends inside {what}")
         return arr

@@ -26,21 +26,24 @@ def posteriors(scores: Tensor) -> Tensor:
     return T.sigmoid(scores)
 
 
-def bce_with_logits_loss(scores: Tensor, targets) -> Tensor:
+def bce_with_logits_loss(scores: Tensor, targets, count: int = None) -> Tensor:
     """Numerically stable mean binary cross-entropy straight from logits.
 
     Uses max(z,0) - z*y + log1p(exp(-|z|)) per element; the gradient is
-    (sigmoid(z) - y) / n.
+    (sigmoid(z) - y) / n. n is ``count`` when the scores are one shard of a
+    batch of ``count`` elements, so that the shards' losses and gradients
+    sum to the batch's; by default it is the scores' own element count.
     """
     z = scores.data
     y = np.asarray(targets, dtype=z.dtype)
     if y.shape != z.shape:
         raise ShapeError(f"targets {y.shape} do not match scores {z.shape}")
     elementwise = np.maximum(z, 0) - z * y + np.log1p(np.exp(-np.abs(z)))
-    out_data = np.asarray(elementwise.mean(), dtype=z.dtype)
+    n = z.size if count is None else count
+    out_data = np.asarray(elementwise.mean() * (z.size / n), dtype=z.dtype)
 
     def _bw(g):
-        _accumulate(scores, g * (_sigmoid(z) - y) / z.size)
+        _accumulate(scores, g * (_sigmoid(z) - y) / n)
 
     return Tensor(out_data, _parents=(scores,), _backward=_bw, _op="bce_with_logits")
 

@@ -1,5 +1,6 @@
 """Full network assembly and configuration."""
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -55,6 +56,12 @@ class ModelConfig:
     @property
     def sequence_width(self) -> int:
         return 2 * self.hidden_width
+
+    @property
+    def sample_values(self) -> int:
+        """Values in one sample, all bands of all subsets: the size
+        ``tensor.run_shards`` gates on."""
+        return sum(math.prod(shape) for shape in self.subset_shapes)
 
     def patch_shape(self, k: int) -> tuple:
         bands, h, w = self.subset_shapes[k]
@@ -195,11 +202,18 @@ class Model:
         return self.forward(arrays)
 
     def predict_probabilities(self, samples, batch_size: int = 32) -> np.ndarray:
-        """Posterior matrix (n_samples, C), computed in fixed-size batches."""
+        """Posterior matrix (n_samples, C), computed in fixed-size batches
+        with no graph. A batch of large samples runs as two data-parallel
+        shards on two threads (``tensor.run_shards``)."""
         if batch_size < 1:
             raise UsageError(f"batch_size must be >= 1, got {batch_size}")
+        parts = []
         with T.no_grad():
-            return np.concatenate([
-                self.forward_samples(samples[start : start + batch_size]).probabilities.data
-                for start in range(0, len(samples), batch_size)
-            ], axis=0)
+            for start in range(0, len(samples), batch_size):
+                batch = samples[start : start + batch_size]
+                parts += T.run_shards(functools.partial(self._probabilities, batch), len(batch),
+                                      self.config.sample_values)
+        return np.concatenate(parts, axis=0)
+
+    def _probabilities(self, batch, lo: int, hi: int) -> np.ndarray:
+        return self.forward_samples(batch[lo:hi]).probabilities.data

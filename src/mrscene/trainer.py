@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import tensor as T
 from .checkpoint import replacing, write_checkpoint
 from .errors import ConfigError, TrainingDivergedError, config_kwargs, require_types
 from .head import bce_with_logits_loss, predict
@@ -66,8 +67,15 @@ class Adam:
     # a step that overflows is reported by train()'s finiteness checks, not by numpy warnings
     @np.errstate(over="ignore", invalid="ignore")
     def step(self, parameters: dict):
+        """One update of every parameter, computed in place: the products
+        of the textbook form ``p -= lr * m_hat / (sqrt(v_hat) + eps)`` are
+        written into two scratch rows that every parameter of the step
+        reuses, in the same order of float operations, so no temporary is
+        allocated per parameter. The rows are freed with the step, so they
+        add nothing to the peak of the next forward and backward."""
         self.step_count += 1
         t = self.step_count
+        work = None
         for name, p in parameters.items():
             if p.grad is None:
                 raise RuntimeError(f"parameter {name!r} has no gradient")
@@ -77,13 +85,21 @@ class Adam:
                 self.v[name] = np.zeros_like(p.data)
             m = self.m[name]
             v = self.v[name]
+            if work is None or work.dtype != p.dtype:
+                work = np.empty((2, max(q.size for q in parameters.values())), p.dtype)
+            a, b = (row[: p.size].reshape(p.shape) for row in work)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(1.0 - self.beta1, g, out=a)
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            m_hat = m / (1.0 - self.beta1**t)
-            v_hat = v / (1.0 - self.beta2**t)
-            p.data -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+            np.multiply(g, g, out=a)
+            v += np.multiply(1.0 - self.beta2, a, out=a)
+            np.divide(m, 1.0 - self.beta1**t, out=a)  # m_hat
+            np.multiply(self.learning_rate, a, out=a)
+            np.divide(v, 1.0 - self.beta2**t, out=b)  # v_hat
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            p.data -= a
 
     def state_entries(self) -> dict:
         entries = {"adam.step": np.array([self.step_count], dtype=np.float32)}
@@ -149,6 +165,10 @@ def _epoch_order(n: int, seed: int, epoch: int, shuffle: bool) -> np.ndarray:
 def train(model: Model, samples, cfg: TrainConfig, out_dir=None, run_config: dict = None) -> TrainResult:
     """Seeded epoch loop: shuffle, batch, forward, backward, optimizer step.
 
+    A batch of large samples runs its forward and backward as two
+    data-parallel shards on two threads (``tensor.run_shards``); the
+    optimizer step then runs on the summed gradients.
+
     Appends the mean per-sample loss of every epoch to the trajectory.
     When out_dir is given, rewrites `loss_log.txt` after every epoch, so it
     always holds the epochs completed so far, and writes checkpoints.
@@ -181,15 +201,23 @@ def train(model: Model, samples, cfg: TrainConfig, out_dir=None, run_config: dic
             batch = [samples[i] for i in order[start : start + cfg.batch_size]]
             targets = np.stack([s.labels for s in batch]).astype(np.float32)
             model.zero_grad()
-            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss is reported below
-                loss = bce_with_logits_loss(model.forward_samples(batch).scores, targets)
-            loss_value = loss.item()
+
+            def step(lo, hi):
+                """Forward and backward of batch[lo:hi], its loss scaled as
+                a share of the whole batch's mean; the loss value."""
+                with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss is reported below
+                    loss = bce_with_logits_loss(model.forward_samples(batch[lo:hi]).scores,
+                                                targets[lo:hi], count=targets.size)
+                value = loss.item()
+                if np.isfinite(value):
+                    loss.backward()
+                return value  # the graph goes with loss, before the next forward builds its own
+
+            loss_value = sum(T.run_shards(step, len(batch), model.config.sample_values))
             if not np.isfinite(loss_value):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch {batch_index}"
                 )
-            loss.backward()
-            del loss  # free this step's graph before the next forward builds its own
             optimizer.step(model.parameters)
             total_loss += loss_value * len(batch)
         result.loss_trajectory.append(total_loss / len(samples))

@@ -259,6 +259,7 @@ class TestErrors:
         {"echo": b"[1, 2]"},  # echo not an object
         {"echo": b"[" * 100_000},  # nesting deeper than the JSON parser recurses
         {"dims": (2**16,) * 4, "values": b""},  # product 2**64 wraps to 0 in int64
+        {"dims": (0,) + (2**32 - 1,) * 3, "values": b""},  # empty, but too large for numpy's size
     ])
     def test_malformed_contents_raise_format_error(self, tmp_path, fields):
         path = tmp_path / "bad.mac"

@@ -17,7 +17,7 @@ from mrscene.head import bce_with_logits_loss, classify
 from mrscene.init import ParameterSet, xavier_init
 from mrscene.kbranch import BranchSpec, ConvLayerSpec, branch_forward, fuse_descriptors, split_patches
 from mrscene.model import Model, ModelConfig
-from mrscene.tensor import Tensor
+from mrscene.tensor import Tensor, run_shards
 
 
 def small_config() -> ModelConfig:
@@ -349,6 +349,14 @@ class TestBigEarthNetShapedPeakMemory:
         assert self.traced_peak_mb(forward, monkeypatch) <= 28
 
 
+def test_shard_gate_lies_between_the_profiles():
+    """tiny batches run unsharded, BigEarthNet-shaped ones in two shards."""
+    values = {name: ModelConfig(n_classes=4, subset_shapes=p.subset_shapes).sample_values
+              for name, p in PROFILES.items()}
+    assert values == {"tiny": 3200, "bigearthnet-shaped": 80000}
+    assert values["tiny"] < T._SHARD_MIN_VALUES <= values["bigearthnet-shaped"]
+
+
 class TestPredictProbabilities:
     @staticmethod
     def tiny_model_and_samples(n):
@@ -375,6 +383,21 @@ class TestPredictProbabilities:
         assert four.shape == (32, 8)
         np.testing.assert_array_equal(four[:8], one)
         assert peak_four <= 1.25 * peak_one
+
+    def test_sharded_batches_match_batch_one(self, monkeypatch):
+        """BigEarthNet-shaped batches of 5 and 2 run as two shards each."""
+        monkeypatch.setattr(T, "_usable_cpus", lambda: 2)
+        shapes = PROFILES["bigearthnet-shaped"].subset_shapes
+        model = Model(ModelConfig(n_classes=4, subset_shapes=shapes), seed=0)
+        rng = np.random.default_rng(0)
+        samples = [Sample([rng.normal(size=s).astype(np.float32) for s in shapes], np.ones(4), f"s{i}")
+                   for i in range(7)]
+        shards = []
+        monkeypatch.setattr(T, "run_shards", lambda *a: shards.append(run_shards(*a)) or shards[-1])
+        batched = model.predict_probabilities(samples, batch_size=5)
+        assert [len(s) for s in shards] == [2, 2]
+        np.testing.assert_allclose(batched, model.predict_probabilities(samples, batch_size=1),
+                                   rtol=0, atol=1e-6)
 
     def test_rejects_batch_size_below_one(self):
         model, samples = self.tiny_model_and_samples(2)

@@ -1,6 +1,9 @@
 """Autodiff engine: forward values, backward rules, graph invariants."""
 
 import functools
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -725,3 +728,166 @@ class TestBackwardSemantics:
         t2 = T.Tensor(np.ones((3, 4)), requires_grad=True)
         T.sum_all(t2).backward()
         assert t2.grad.shape == t2.shape
+
+
+class TestRunShards:
+    """The two-way shard runner, its gate, worker context and failures."""
+
+    BIG = T._SHARD_MIN_VALUES  # the smallest per-item size that shards
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(T, "_usable_cpus", lambda: 2)
+
+    @pytest.fixture
+    def blas_threads(self):
+        """The BLAS thread-count getter, with the count set to 2 for the
+        test and set back after it."""
+        if T._blas_threads() is None:
+            pytest.skip("numpy's BLAS exports no thread-count calls")
+        get, set_ = T._blas_threads()
+        before = get()
+        set_(2)
+        yield get
+        set_(before)
+
+    def test_split_at_half_rounded_up(self):
+        calls = []
+
+        def task(lo, hi):
+            calls.append((lo, hi, T._shards_running, T._thread.scratch is None))
+            return hi - lo
+
+        assert T.run_shards(task, 5, self.BIG) == [3, 2]
+        assert sorted(calls) == [(0, 3, 2, True), (3, 5, 2, False)]  # the worker has its own scratch buffer
+        assert T._shards_running == 1
+
+    def test_below_the_gate_one_call_and_no_worker(self, monkeypatch):
+        monkeypatch.setattr(T, "_worker", None)
+        threads = threading.active_count()
+        task = lambda lo, hi: (lo, hi)  # noqa: E731
+        assert T.run_shards(task, 8, self.BIG - 1) == [(0, 8)]
+        assert T.run_shards(task, 1, 10 * self.BIG) == [(0, 1)]
+        monkeypatch.setattr(T, "_usable_cpus", lambda: 1)
+        assert T.run_shards(task, 8, 10 * self.BIG) == [(0, 8)]
+        assert T._worker is None and threading.active_count() == threads
+
+    def test_one_worker_thread_reused(self):
+        T.run_shards(lambda lo, hi: None, 2, self.BIG)
+        threads = threading.active_count()
+        for _ in range(5):
+            T.run_shards(lambda lo, hi: threading.get_ident(), 2, self.BIG)
+        assert threading.active_count() == threads
+
+    def test_shards_share_the_band_budget(self, monkeypatch):
+        """Each shard's conv2d bands get half of _BAND_BYTES: here 4 rows of
+        one sample's patch matrix, where a whole budget would give 8."""
+        x, k, b = RNG(0).normal(size=(2, 3, 8, 5)), RNG(1).normal(size=(4, 3, 3, 3)), np.zeros(4)
+        one_row = 3 * 9 * 5 * 8  # patch-matrix bytes of one output row of one float64 sample
+        monkeypatch.setattr(T, "_BAND_BYTES", 8 * one_row)
+        requests, scratch = [], T._scratch
+
+        def recording_scratch(shape, dtype):
+            requests.append(int(np.prod(shape)) * np.dtype(dtype).itemsize)
+            return scratch(shape, dtype)
+
+        monkeypatch.setattr(T, "_scratch", recording_scratch)
+        conv = lambda lo, hi: T.conv2d(T.Tensor(x[lo:hi]), T.Tensor(k), T.Tensor(b)).data  # noqa: E731
+        shards = T.run_shards(conv, 2, self.BIG)
+        assert requests == [4 * one_row] * 4  # two bands in each shard
+        np.testing.assert_allclose(np.concatenate(shards), conv(0, 2), rtol=1e-12, atol=0)
+
+    def test_a_shard_that_shards_again_runs_whole(self):
+        """The worker would otherwise wait on a job queued behind itself."""
+        inner = lambda lo, hi: (lo, hi)  # noqa: E731
+        outer = lambda lo, hi: T.run_shards(inner, 4, self.BIG)  # noqa: E731
+        assert T.run_shards(outer, 2, self.BIG) == [[(0, 4)], [(0, 4)]]
+
+    def test_worker_inherits_grad_mode_and_error_state(self):
+        x = T.Tensor(np.ones(3), requires_grad=True)
+
+        def task(lo, hi):
+            return (x * 2.0).requires_grad, np.geterr()["divide"]
+
+        with T.no_grad(), np.errstate(divide="raise"):
+            assert T.run_shards(task, 2, self.BIG) == [(False, "raise")] * 2
+        assert T.run_shards(task, 2, self.BIG)[1] == (True, np.geterr()["divide"])
+
+    @staticmethod
+    def weighted_task(p, weights):
+        def task(lo, hi):
+            T.sum_all(T.mul(p, T.Tensor(weights[lo:hi]))).backward()
+            return lo
+
+        return task
+
+    def test_worker_gradients_added_after_the_callers(self):
+        weights = RNG(0).normal(size=(5, 4))
+        p = T.Tensor(RNG(1).normal(size=4), requires_grad=True)
+        T.run_shards(self.weighted_task(p, weights), 5, self.BIG)
+        assert np.array_equal(p.grad, weights[:3].sum(axis=0) + weights[3:].sum(axis=0))
+
+    def test_concurrent_backwards_lose_no_update(self):
+        """Both shards add into one leaf many times while the interpreter
+        switches threads as often as it can. The leaf is large, so numpy
+        releases the lock inside each add: two adds into one array at once
+        would lose updates. Every add lands."""
+        p = T.Tensor(np.zeros(1 << 20), requires_grad=True)
+
+        def task(lo, hi):
+            loss = T.sum_all(p)
+            for _ in range(lo, hi):
+                loss = loss + T.sum_all(p)
+            loss.backward()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                p.zero_grad()
+                T.run_shards(task, 60, self.BIG)
+                assert (p.grad == 62.0).all()  # one more add per shard
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_without_blas_thread_calls_the_shards_run_in_turn(self, monkeypatch):
+        weights = RNG(0).normal(size=(5, 4))
+        p = T.Tensor(RNG(1).normal(size=4), requires_grad=True)
+        T.run_shards(self.weighted_task(p, weights), 5, self.BIG)
+        threaded, p.grad = p.grad, None
+        monkeypatch.setattr(T, "_blas_threads", lambda: None)
+        callers = []
+        task = self.weighted_task(p, weights)
+        assert T.run_shards(lambda lo, hi: callers.append(threading.get_ident()) or task(lo, hi),
+                            5, self.BIG) == [0, 3]
+        assert callers == [threading.get_ident()] * 2
+        assert np.array_equal(p.grad, threaded)
+
+    def test_worker_exception_reaches_the_caller(self):
+        def task(lo, hi):
+            if lo:
+                raise ShapeError("worker shard")
+            return lo
+
+        with pytest.raises(ShapeError, match="worker shard"):
+            T.run_shards(task, 4, self.BIG)
+        assert T._shards_running == 1
+
+    @pytest.mark.parametrize("failing", [None, "caller", "worker"])
+    def test_blas_threads_held_at_one_then_restored(self, blas_threads, failing):
+        seen = []
+
+        def task(lo, hi):
+            if failing == ("worker" if lo else "caller"):
+                raise ShapeError(failing)
+            time.sleep(0.05)  # a failing caller must still wait for the worker
+            seen.append(blas_threads())
+
+        try:
+            T.run_shards(task, 4, self.BIG)
+        except ShapeError as exc:
+            assert str(exc) == failing
+        else:
+            assert failing is None
+        assert seen == [1] * (2 - (failing is not None))
+        assert blas_threads() == 2

@@ -1,16 +1,20 @@
 """Initialization, optimizers, and the training loop."""
 
+import hashlib
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from mrscene import tensor as T
+from mrscene.cli import main
 from mrscene.dataset import PROFILES, Sample
 from mrscene.errors import ConfigError, TrainingDivergedError
 from mrscene.init import xavier_init
 from mrscene.kbranch import BranchSpec, ConvLayerSpec
 from mrscene.model import Model, ModelConfig
-from mrscene.tensor import Tensor
+from mrscene.tensor import Tensor, run_shards
 from mrscene.trainer import Adam, Sgd, TrainConfig, evaluate_model, moving_average, train
 
 
@@ -255,3 +259,125 @@ class TestMovingAverage:
     def test_needs_enough_points(self):
         with pytest.raises(ConfigError):
             moving_average([1, 2], window=5)
+
+
+class TestAdamInPlace:
+    def test_bit_identical_to_the_textbook_expression(self):
+        """30 steps on gradients spanning ten decades leave the parameters
+        and moments byte for byte where the allocating form leaves them."""
+
+        def textbook_step(opt, parameters):
+            opt.step_count += 1
+            t = opt.step_count
+            for name, p in parameters.items():
+                g = p.grad
+                m = opt.m.setdefault(name, np.zeros_like(p.data))
+                v = opt.v.setdefault(name, np.zeros_like(p.data))
+                m *= opt.beta1
+                m += (1.0 - opt.beta1) * g
+                v *= opt.beta2
+                v += (1.0 - opt.beta2) * (g * g)
+                m_hat = m / (1.0 - opt.beta1**t)
+                v_hat = v / (1.0 - opt.beta2**t)
+                p.data -= opt.learning_rate * m_hat / (np.sqrt(v_hat) + opt.eps)
+
+        rng = np.random.default_rng(0)
+        shapes = {"w": (7, 5), "b": (7,), "k": (3, 2, 3, 3)}
+        ours = {n: Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True) for n, s in shapes.items()}
+        theirs = {n: Tensor(p.data.copy(), requires_grad=True) for n, p in ours.items()}
+        opt, ref = Adam(learning_rate=3e-3), Adam(learning_rate=3e-3)
+        for _ in range(30):
+            for name, p in ours.items():
+                g = (rng.normal(size=p.shape) * 10.0 ** rng.integers(-8, 2)).astype(np.float32)
+                p.grad, theirs[name].grad = g, g.copy()
+            opt.step(ours)
+            textbook_step(ref, theirs)
+        for name in shapes:
+            assert ours[name].data.tobytes() == theirs[name].data.tobytes()
+            assert opt.m[name].tobytes() == ref.m[name].tobytes()
+            assert opt.v[name].tobytes() == ref.v[name].tobytes()
+
+
+def bigearthnet_samples(n, seed=0):
+    shapes = PROFILES["bigearthnet-shaped"].subset_shapes
+    rng = np.random.default_rng(seed)
+    return [Sample([rng.normal(size=s).astype(np.float32) for s in shapes],
+                   np.eye(4, dtype=np.uint8)[i % 4], f"s{i}") for i in range(n)]
+
+
+class TestShardedTraining:
+    """BigEarthNet-shaped batches of 8 run as two shards of 4 samples."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(T, "_usable_cpus", lambda: 2)
+
+    @staticmethod
+    def one_step(monkeypatch, cpus):
+        """Loss and parameter gradients of one plain-SGD step at batch 8,
+        and the number of shards it ran as."""
+        monkeypatch.setattr(T, "_usable_cpus", lambda: cpus)
+        shards = []
+        monkeypatch.setattr(T, "run_shards", lambda *a: shards.append(run_shards(*a)) or shards[-1])
+        model = Model(ModelConfig(n_classes=4, subset_shapes=PROFILES["bigearthnet-shaped"].subset_shapes), seed=0)
+        cfg = TrainConfig(epochs=1, batch_size=8, optimizer="sgd", shuffle=False, learning_rate=1e-9)
+        loss = train(model, bigearthnet_samples(8), cfg).loss_trajectory[0]
+        return loss, {name: p.grad for name, p in model.parameters.items()}, len(shards[0])
+
+    def test_sharded_step_matches_the_unsharded_one(self, monkeypatch):
+        loss, grads, shards = self.one_step(monkeypatch, 2)
+        one_loss, one_grads, one_shards = self.one_step(monkeypatch, 1)
+        assert (shards, one_shards) == (2, 1)
+        assert loss == pytest.approx(one_loss, rel=1e-5)
+        for name, g in grads.items():
+            assert np.abs(g - one_grads[name]).max() <= 1e-5 * np.abs(one_grads[name]).max(), name
+
+    def test_without_blas_thread_calls_the_step_is_bit_identical(self, monkeypatch):
+        """The shards then run one after the other in the calling thread."""
+        loss, grads, _ = self.one_step(monkeypatch, 2)
+        monkeypatch.setattr(T, "_blas_threads", lambda: None)
+        in_turn_loss, in_turn_grads, shards = self.one_step(monkeypatch, 2)
+        assert shards == 2 and in_turn_loss == loss
+        for name, g in grads.items():
+            assert g.tobytes() == in_turn_grads[name].tobytes(), name
+
+    def test_cli_runs_are_byte_identical(self, tmp_path, capsys):
+        """Two `mrscene train` runs on 14 training samples (batches of 8
+        and 6, both sharded) write the same checkpoint and loss log."""
+        data = tmp_path / "data"
+        assert main(["generate-data", "--out", str(data), "--seed", "3", "--n", "24",
+                     "--profile", "bigearthnet-shaped", "--classes", "4"]) == 0
+        digests = []
+        for run in ("a", "b"):
+            assert main(["train", "--data", str(data), "--out", str(tmp_path / run),
+                         "--epochs", "2", "--seed", "1", "--batch-size", "8"]) == 0
+            digests.append([hashlib.sha256((tmp_path / run / name).read_bytes()).hexdigest()
+                            for name in ("checkpoint-final.mac", "loss_log.txt")])
+        capsys.readouterr()
+        assert digests[0] == digests[1]
+
+    def test_non_finite_loss_in_the_workers_shard(self):
+        """A NaN pixel in the second half of the batch, which the worker
+        runs; no RuntimeWarning escapes it."""
+        model = Model(ModelConfig(n_classes=4, subset_shapes=PROFILES["bigearthnet-shaped"].subset_shapes), seed=0)
+        samples = bigearthnet_samples(8)
+        samples[6].subsets[0][0, 0, 0] = np.nan
+        with pytest.raises(TrainingDivergedError, match=r"epoch 1, batch 0"):
+            train(model, samples, TrainConfig(epochs=1, batch_size=8, seed=0, shuffle=False))
+
+    def test_train_and_evaluate_add_at_most_one_thread(self):
+        model = Model(ModelConfig(n_classes=4, subset_shapes=PROFILES["bigearthnet-shaped"].subset_shapes), seed=0)
+        samples = bigearthnet_samples(4)
+        threads = threading.active_count()
+        for _ in range(3):
+            train(model, samples, TrainConfig(epochs=1, batch_size=4, seed=0))
+            evaluate_model(model, samples, batch_size=4)
+        assert threading.active_count() <= threads + 1
+
+    def test_tiny_batches_start_no_worker(self, monkeypatch):
+        monkeypatch.setattr(T, "_worker", None)
+        model, samples = tiny_model_and_samples()
+        threads = threading.active_count()
+        train(model, samples, TrainConfig(epochs=1, batch_size=8, seed=0))
+        evaluate_model(model, samples, batch_size=8)
+        assert T._worker is None and threading.active_count() == threads
