@@ -12,8 +12,9 @@ Inside ``with no_grad():`` no graph is recorded, which is how evaluation
 runs the forward pass.
 
 ``run_shards`` splits a batch of large samples into two data-parallel
-shards, one run by the caller and one by a reused worker thread, each with
-its own conv2d scratch buffer and a one-thread BLAS.
+shards, one run by the caller and one by a reused worker thread, each on a
+one-thread BLAS. No op keeps state between calls, so threads may run ops
+at once on tensors they do not share.
 
 Two float precisions are supported: float32 (training, evaluation) and
 float64 (gradient checking). The dtype of an operation's result follows
@@ -24,7 +25,6 @@ import contextvars
 import ctypes
 import functools
 import importlib
-import math
 import os
 import threading
 from concurrent import futures
@@ -178,7 +178,6 @@ def _coerce(value, dtype) -> Tensor:
 class _ThreadState(threading.local):
     """What a shard worker's thread holds apart from its caller's."""
 
-    scratch = None  # a worker's own scratch bytes; None: the module's _scratch_bytes
     sink = None  # {leaf: stand-in} collecting the leaf gradients of a worker's shard
 
 
@@ -335,34 +334,13 @@ def _in_map(d: int, size: int, span: int) -> tuple:
     return slice(lo, hi), slice(lo + d, hi + d)
 
 
-_scratch_bytes = np.empty(0, np.uint8)  # the calling thread's scratch buffer
 _BAND_BYTES = 8 << 20  # conv2d's patch-matrix budget per band, shared by the running shards
 _shards_running = 1  # threads running ops at once: 2 inside a sharded run_shards call
 
 
-def _scratch(shape, dtype) -> np.ndarray:
-    """An uninitialised ``shape`` array viewing this thread's byte buffer:
-    ``_scratch_bytes`` on the calling thread, the worker's own buffer on a
-    shard worker. Each grows to the largest request seen and is never
-    shrunk. conv2d asks for one band of its patch matrix at a time, so a
-    buffer stays within its share of ``_BAND_BYTES`` unless a single output
-    row's matrix is larger.
-
-    The view is valid only until the thread's next call: each user fills
-    it and is done with it before its thread runs any other op. Ops run
-    on one calling thread at a time, besides the shard worker.
-    """
-    global _scratch_bytes
-    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-    own = _thread.scratch
-    buf = _scratch_bytes if own is None else own
-    if buf.size < nbytes:
-        buf = np.empty(nbytes, np.uint8)
-        if own is None:
-            _scratch_bytes = buf
-        else:
-            _thread.scratch = buf
-    return buf[:nbytes].view(dtype).reshape(shape)
+def _band_buffer(nbytes: int) -> np.ndarray:
+    """Uninitialised bytes for one conv2d pass's patch-matrix bands."""
+    return np.empty(nbytes, np.uint8)
 
 
 def _pool2(full: np.ndarray, out: np.ndarray, win: np.ndarray):
@@ -415,11 +393,12 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, pool: bool = False) -> Tens
     The im2col matrix is never built whole. The output is walked in bands
     of whole output rows, as many as fit ``_BAND_BYTES`` of patch matrix
     (half of it inside a sharded ``run_shards`` call, where two threads
-    each hold a band)
-    and at least one (an even number, at least two, when pooling, so that
-    bands hold whole windows), and each band's matrix is built in the
-    scratch buffer over the previous band's. The forward multiplies each
-    band straight into its rows of the output; a pooled band goes into one
+    each hold a band) and at least one (an even number, at least two, when
+    pooling, so that bands hold whole windows). The forward and the backward each allocate
+    one byte buffer that fits the largest band and build each band's matrix
+    in it over the previous band's; neither buffer outlives its pass, so
+    conv2d keeps no state between calls. The forward multiplies each band
+    straight into its rows of the output; a pooled band goes into one
     full-resolution band buffer, is pooled from there while it is still in
     cache, and only the pooled rows and a uint8 index of each window's
     first (row-major) maximum are kept. Bias and ReLU then go on the kept
@@ -467,8 +446,9 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, pool: bool = False) -> Tens
                 xs, xr = _in_map(j - pl, w, wc)
                 yield i, j, ys, xs, yr, xr
 
-    def im2col(y0, y1):
-        cols = _scratch((cin, th, tw, y1 - y0, wc, n), x.dtype)
+    def im2col(buf, y0, y1):
+        cols = buf.view(x.dtype)[: cin * th * tw * (y1 - y0) * wc * n]
+        cols = cols.reshape(cin, th, tw, y1 - y0, wc, n)
         for i, j, ys, xs, yr, xr in taps(y0, y1):
             tap = cols[:, i, j]
             tap[:, : ys.start] = 0
@@ -488,14 +468,17 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, pool: bool = False) -> Tens
     win = np.empty(out.shape, np.uint8) if pool else None
     band_len = cout * min(rows, hc) * wc * n  # one full-resolution band of output
     full = np.empty(band_len, dtype) if pool else None
+    # one band of patch matrix, in the forward's dtype or the backward's
+    cols_bytes = cin * th * tw * min(rows, hc) * wc * n * max(x.dtype.itemsize, dtype.itemsize)
+    buf = _band_buffer(cols_bytes)
     for y0, y1 in bands:
         band = out[:, y0 // s : y1 // s]  # a view: each channel's rows are contiguous
         if pool:
             prod = windows(full, y0, y1)
-            np.matmul(kmat, im2col(y0, y1), out=prod.reshape(cout, -1))
+            np.matmul(kmat, im2col(buf, y0, y1), out=prod.reshape(cout, -1))
             _pool2(prod, band, win[:, y0 // 2 : y1 // 2])
         else:
-            np.matmul(kmat, im2col(y0, y1), out=band.reshape(cout, -1))
+            np.matmul(kmat, im2col(buf, y0, y1), out=band.reshape(cout, -1))
         band = band.reshape(cout, -1)
         band += bias.data[:, None]
         np.maximum(band, 0, out=band)
@@ -508,16 +491,17 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, pool: bool = False) -> Tens
         gk = 0
         gx = np.zeros((cin, h, w, n), dtype=x.dtype) if x.requires_grad else None
         gfull = np.empty(band_len, g2.dtype) if pool else None
+        cols = _band_buffer(cols_bytes)  # not the forward's: a node holds no band until backward
         row = out.shape[2] * n  # g2 columns per output row
         for y0, y1 in bands:
             gb = g2[:, y0 // s * row : y1 // s * row]
             if pool:
                 gb = _unpool2(gb.reshape(cout, -1, wc // 2, n), win[:, y0 // 2 : y1 // 2], windows(gfull, y0, y1))
             if kernels.requires_grad:
-                gk = gk + gb @ im2col(y0, y1).T
+                gk = gk + gb @ im2col(cols, y0, y1).T
             if gx is not None:
-                gcols = np.matmul(kmat.T, gb, out=_scratch((cin * th * tw, gb.shape[1]), g2.dtype))
-                gcols = gcols.reshape(cin, th, tw, y1 - y0, wc, n)
+                gcols = cols.view(g2.dtype)[: cin * th * tw * gb.shape[1]].reshape(cin * th * tw, -1)
+                gcols = np.matmul(kmat.T, gb, out=gcols).reshape(cin, th, tw, y1 - y0, wc, n)
                 for i, j, ys, xs, yr, xr in taps(y0, y1):
                     gx[:, yr, xr] += gcols[:, i, j, ys, xs]
         if kernels.requires_grad:
@@ -749,13 +733,8 @@ def _shard_worker() -> futures.ThreadPoolExecutor:
         else:
             mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
             mallopt(-8, 1)  # M_ARENA_MAX
-        _worker = futures.ThreadPoolExecutor(1, thread_name_prefix="mrscene-shard",
-                                             initializer=_give_own_scratch)
+        _worker = futures.ThreadPoolExecutor(1, thread_name_prefix="mrscene-shard")
     return _worker
-
-
-def _give_own_scratch():
-    _thread.scratch = np.empty(0, np.uint8)
 
 
 def _sinking(task, lo: int, hi: int, errors: dict):
@@ -786,37 +765,30 @@ def run_shards(task, n: int, values_per_item: int) -> list:
     leaf's gradient is then this shard's plus the worker's, the same sum in
     every run. This thread waits for the worker before it restores the BLAS
     thread count, even when its own shard raises; then an exception of its
-    own shard, or else one of the worker's, is re-raised.
-
-    Without the OpenBLAS thread calls, two threads would oversubscribe the
-    cores, so the shards run one after the other in this thread, the second
-    into a sink just as on the worker, which gives the same results.
+    own shard, or else one of the worker's, is re-raised. Without the
+    OpenBLAS thread calls two threads would oversubscribe the cores, so the
+    batch runs whole.
     """
     global _shards_running
-    if n < 2 or values_per_item < _SHARD_MIN_VALUES or _usable_cpus() < 2 or _shards_running > 1:
+    blas = _blas_threads()
+    if (n < 2 or values_per_item < _SHARD_MIN_VALUES or _usable_cpus() < 2 or blas is None
+            or _shards_running > 1):
         return [task(0, n)]  # a task of a sharded call that shards again runs whole
     h = (n + 1) // 2
-    blas = _blas_threads()
+    get_threads, set_threads = blas
     errors = np.geterr()
+    threads = get_threads()
     _shards_running = 2
+    set_threads(1)
     try:
-        if blas is None:
+        job = _shard_worker().submit(contextvars.copy_context().run, _sinking, task, h, n, errors)
+        try:
             first = task(0, h)
-            second, sink = _sinking(task, h, n, errors)
-        else:
-            get_threads, set_threads = blas
-            threads = get_threads()
-            set_threads(1)
-            try:
-                job = _shard_worker().submit(contextvars.copy_context().run, _sinking, task, h, n, errors)
-                try:
-                    first = task(0, h)
-                finally:
-                    futures.wait((job,))
-                second, sink = job.result()
-            finally:
-                set_threads(threads)
+        finally:
+            futures.wait((job,))
+        second, sink = job.result()
     finally:
+        set_threads(threads)
         _shards_running = 1
     for leaf, home in sink.items():
         if home.grad is not None:

@@ -74,6 +74,19 @@ def batch_innermost(a):
     return np.ascontiguousarray(a.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
 
 
+def nan_band_buffer(nbytes):
+    """A stand-in for conv2d's band buffer with a NaN in every float32 and
+    float64 slot, so that any value read before it is written shows."""
+    return np.full(nbytes, 0xFF, np.uint8)
+
+
+def record_band_buffers(monkeypatch) -> list:
+    """The byte counts of conv2d's band buffers, in the order asked for."""
+    requests, band_buffer = [], T._band_buffer
+    monkeypatch.setattr(T, "_band_buffer", lambda n: requests.append(n) or band_buffer(n))
+    return requests
+
+
 def first_max_mask(x):
     """1 at the row-major first maximum of every 2x2 window, by argmax."""
     n, c, h, w = x.shape
@@ -217,21 +230,19 @@ class TestConv2d:
     def test_kernel_larger_than_map_matches_sliding_window(self, kh, kw, h, w, monkeypatch):
         """Output and all three gradients match the sliding window in
         float64 and float32, from an NCHW-contiguous input and from a
-        conv2d-output view, with the scratch buffer full of NaN bytes before
-        the forward and before the backward: every tap border that would
-        read padding is zeroed, never left stale."""
+        conv2d-output view, with every patch-matrix band buffer full of NaN
+        bytes when allocated, in the forward and in the backward: every tap
+        border that would read padding is zeroed, never left stale."""
         rng = RNG(9)
         x0, k0, b0 = rng.normal(size=(3, 2, h, w)), rng.normal(size=(4, 2, kh, kw)), rng.normal(size=4)
         g0 = rng.normal(size=(3, 4, h, w))
         want = [np.maximum(naive_conv(x0, k0, b0), 0), *naive_conv_grads(x0, k0, b0, g0)]
-        monkeypatch.setattr(T, "_scratch_bytes", np.empty(8 * kh * kw * x0.size, np.uint8))
+        monkeypatch.setattr(T, "_band_buffer", nan_band_buffer)
         for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-5)):
             for layout in (np.ascontiguousarray, batch_innermost):
                 x = T.Tensor(layout(x0.astype(dtype)), requires_grad=True)
                 k, b = (T.Tensor(a.astype(dtype), requires_grad=True) for a in (k0, b0))
-                T._scratch_bytes.fill(0xFF)  # a NaN in every float32 and float64 slot
                 out = T.conv2d(x, k, b)
-                T._scratch_bytes.fill(0xFF)
                 weighted_sum(out, T.Tensor(g0.astype(dtype))).backward()
                 for got, expected in zip((out.data, x.grad, k.grad, b.grad), want):
                     np.testing.assert_allclose(got, expected, rtol=tol, atol=tol)
@@ -319,6 +330,9 @@ class TestConv2dOneRowBands(TestConv2d):
 
 
 class TestScratchBuffer:
+    """conv2d's patch-matrix band buffers: one per forward and one per
+    backward, of the largest band's size, kept by no call after it ends."""
+
     @staticmethod
     def conv_case(rng, n, cin, cout, size, k, dtype=np.float32):
         return tuple(a.astype(dtype) for a in (
@@ -345,12 +359,12 @@ class TestScratchBuffer:
             loss.backward()
             alone.append([out.data.copy()] + [leaf.grad for leaf in leaves])
 
-        monkeypatch.setattr(T, "_scratch_bytes", np.empty(0, np.uint8))
+        requests = record_band_buffers(monkeypatch)
         runs = []
         for case in cases:  # every forward before any backward
             runs.append(self.forward(case))
             if case is larger:
-                assert T._scratch_bytes.nbytes == 8 * 25 * 12 * 12 * 4 * 4  # its im2col matrix
+                assert requests[-1] == 8 * 25 * 12 * 12 * 4 * 4  # its im2col matrix
         for out, loss, _ in runs:
             loss.backward()
         for (out, _, leaves), want in zip(runs, alone):
@@ -358,7 +372,7 @@ class TestScratchBuffer:
             for got, expected in zip([out.data] + [leaf.grad for leaf in leaves], want):
                 np.testing.assert_array_equal(got, expected)
 
-    def test_backward_keeps_no_im2col_matrix(self, monkeypatch):
+    def test_backward_keeps_no_im2col_matrix(self):
         """The traced peak of a forward and backward through two 5x5 convs
         stays below the activations plus one im2col matrix (25 activations
         here) plus slack for backward temporaries: the closures do not keep
@@ -366,7 +380,6 @@ class TestScratchBuffer:
         rng = RNG(14)
         case = self.conv_case(rng, 4, 8, 8, 16, 5)
         act = case[0].nbytes
-        monkeypatch.setattr(T, "_scratch_bytes", np.empty(0, np.uint8))
         x, k1, b1 = (T.Tensor(a.copy(), requires_grad=True) for a in case[:3])
         k2 = T.Tensor(case[1][::-1].copy(), requires_grad=True)
         tracemalloc.start()
@@ -380,20 +393,79 @@ class TestScratchBuffer:
         cols = 25 * act
         assert peak < 3 * act + cols + 20 * act
 
+    def test_threads_running_convs_at_once_match_serial_runs(self):
+        """Two threads each run 30 forward and backward passes of their own
+        conv at once while the interpreter switches threads as often as it
+        can; every output and gradient is bit-equal to a serial run's. A
+        buffer shared between calls would let one thread's band overwrite
+        the other's."""
+        rng = RNG(17)
+        cases = [self.conv_case(rng, 64, 8, 16, 12, 3) for _ in range(2)]
+
+        def run(case):
+            out, loss, leaves = self.forward(case)
+            loss.backward()
+            return [out.data] + [leaf.grad for leaf in leaves]
+
+        serial = [run(case) for case in cases]
+        start = threading.Barrier(2)
+        done = [[], []]
+
+        def worker(t):
+            start.wait()
+            for _ in range(30):
+                done[t].append(all(np.array_equal(a, b) for a, b in zip(run(cases[t]), serial[t])))
+
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert done == [[True] * 30] * 2
+
+    def test_no_memory_outlives_a_call(self):
+        """After a forward and backward whose single output row's patch
+        matrix is larger than the band budget, and once the results and
+        gradients are dropped, traced memory is back where it started, to
+        within a few hundred bytes: no band buffer is kept for the next
+        call."""
+        rng = RNG(18)
+        self.forward(self.conv_case(rng, 2, 16, 4, 9, 9, np.float64))[1].backward()  # warm-up
+        case = self.conv_case(rng, 128, 16, 4, 9, 9, np.float64)
+        assert 16 * 81 * 9 * 128 * 8 > T._BAND_BYTES  # one output row's patch matrix
+        leaves = [T.Tensor(a.copy(), requires_grad=True) for a in case[:3]]
+        g = T.Tensor(case[3])
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            weighted_sum(T.conv2d(*leaves), g).backward()
+            assert all(leaf.grad is not None for leaf in leaves)
+            for leaf in leaves:
+                leaf.zero_grad()
+            grown = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert grown < 1 << 16  # numpy's and the interpreter's own small caches; a band is 12 MB
+
     @pytest.mark.parametrize("n", [128, 256])
     def test_first_bigearthnet_layer_keeps_scratch_within_one_band(self, n, monkeypatch):
         """The 10 m branch's first layer (5x5, 4->32, 30x30 patches; N = 128
         is batch 8) would need a 46 MB patch matrix at N = 128 and 92 MB at
-        256; forward and backward, the scratch buffer stays within the band
-        budget, or one output row's matrix where that is larger."""
+        256; the forward's and the backward's band buffers each stay within
+        the band budget, or one output row's matrix where that is larger."""
         rng = RNG(16)
         case = self.conv_case(rng, n, 4, 32, 30, 5)
-        monkeypatch.setattr(T, "_scratch_bytes", np.empty(0, np.uint8))
+        requests = record_band_buffers(monkeypatch)
         out, loss, leaves = self.forward(case)
         loss.backward()
         assert all(leaf.grad is not None for leaf in leaves)
         one_row = 4 * 25 * 30 * n * 4
-        assert 0 < T._scratch_bytes.nbytes <= max(T._BAND_BYTES, one_row)
+        assert len(requests) == 2 and all(0 < r <= max(T._BAND_BYTES, one_row) for r in requests)
 
 
 class TestPooledConv2d:
@@ -405,17 +477,15 @@ class TestPooledConv2d:
     def test_matches_pooled_sliding_window(self, name, monkeypatch):
         """Output and all three gradients match the float64 oracle in
         float64 and float32, from an NCHW-contiguous input and from a
-        conv2d-output view, with the scratch buffer full of NaN bytes before
-        the forward and before the backward."""
+        conv2d-output view, with every patch-matrix band buffer full of NaN
+        bytes when allocated, in the forward and in the backward."""
         (x0, k0, b0, g0), want = pooled_case(name)
-        monkeypatch.setattr(T, "_scratch_bytes", np.empty(8 * k0[0].size * x0.size, np.uint8))
+        monkeypatch.setattr(T, "_band_buffer", nan_band_buffer)
         for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-5)):
             for layout in (np.ascontiguousarray, batch_innermost):
                 x = T.Tensor(layout(x0.astype(dtype)), requires_grad=True)
                 k, b = (T.Tensor(a.astype(dtype), requires_grad=True) for a in (k0, b0))
-                T._scratch_bytes.fill(0xFF)  # a NaN in every float32 and float64 slot
                 out = T.conv2d(x, k, b, pool=True)
-                T._scratch_bytes.fill(0xFF)
                 weighted_sum(out, T.Tensor(g0.astype(dtype))).backward()
                 assert out.dtype == dtype and out.shape == want[0].shape
                 for got, expected in zip((out.data, x.grad, k.grad, b.grad), want):
@@ -457,10 +527,10 @@ class TestPooledConv2dTwoRowBands(TestPooledConv2d):
         (x0, k0, b0, g0), want = pooled_case("15x15")
         one_row = 1 * 9 * 14 * 1 * 8  # Cin*kh*kw*(computed W)*N float64 patch-matrix values
         monkeypatch.setattr(T, "_BAND_BYTES", rows * one_row)
-        monkeypatch.setattr(T, "_scratch_bytes", np.empty(0, np.uint8))
+        requests = record_band_buffers(monkeypatch)
         x, k, b = (T.Tensor(a, requires_grad=True) for a in (x0, k0, b0))
         out = T.conv2d(x, k, b, pool=True)
-        assert T._scratch_bytes.nbytes == band * one_row
+        assert requests == [band * one_row]
         weighted_sum(out, T.Tensor(g0)).backward()
         for got, expected in zip((out.data, x.grad, k.grad, b.grad), want):
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
@@ -755,11 +825,11 @@ class TestRunShards:
         calls = []
 
         def task(lo, hi):
-            calls.append((lo, hi, T._shards_running, T._thread.scratch is None))
+            calls.append((lo, hi, T._shards_running))
             return hi - lo
 
         assert T.run_shards(task, 5, self.BIG) == [3, 2]
-        assert sorted(calls) == [(0, 3, 2, True), (3, 5, 2, False)]  # the worker has its own scratch buffer
+        assert sorted(calls) == [(0, 3, 2), (3, 5, 2)]
         assert T._shards_running == 1
 
     def test_below_the_gate_one_call_and_no_worker(self, monkeypatch):
@@ -785,16 +855,10 @@ class TestRunShards:
         x, k, b = RNG(0).normal(size=(2, 3, 8, 5)), RNG(1).normal(size=(4, 3, 3, 3)), np.zeros(4)
         one_row = 3 * 9 * 5 * 8  # patch-matrix bytes of one output row of one float64 sample
         monkeypatch.setattr(T, "_BAND_BYTES", 8 * one_row)
-        requests, scratch = [], T._scratch
-
-        def recording_scratch(shape, dtype):
-            requests.append(int(np.prod(shape)) * np.dtype(dtype).itemsize)
-            return scratch(shape, dtype)
-
-        monkeypatch.setattr(T, "_scratch", recording_scratch)
+        requests = record_band_buffers(monkeypatch)
         conv = lambda lo, hi: T.conv2d(T.Tensor(x[lo:hi]), T.Tensor(k), T.Tensor(b)).data  # noqa: E731
         shards = T.run_shards(conv, 2, self.BIG)
-        assert requests == [4 * one_row] * 4  # two bands in each shard
+        assert requests == [4 * one_row] * 2  # one 4-row band buffer in each shard's forward
         np.testing.assert_allclose(np.concatenate(shards), conv(0, 2), rtol=1e-12, atol=0)
 
     def test_a_shard_that_shards_again_runs_whole(self):
@@ -850,18 +914,16 @@ class TestRunShards:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_without_blas_thread_calls_the_shards_run_in_turn(self, monkeypatch):
-        weights = RNG(0).normal(size=(5, 4))
-        p = T.Tensor(RNG(1).normal(size=4), requires_grad=True)
-        T.run_shards(self.weighted_task(p, weights), 5, self.BIG)
-        threaded, p.grad = p.grad, None
+    def test_without_blas_thread_calls_one_call_and_no_worker(self, monkeypatch):
+        """Two threads would then oversubscribe the cores: the batch runs
+        whole on the calling thread."""
         monkeypatch.setattr(T, "_blas_threads", lambda: None)
-        callers = []
-        task = self.weighted_task(p, weights)
-        assert T.run_shards(lambda lo, hi: callers.append(threading.get_ident()) or task(lo, hi),
-                            5, self.BIG) == [0, 3]
-        assert callers == [threading.get_ident()] * 2
-        assert np.array_equal(p.grad, threaded)
+        monkeypatch.setattr(T, "_worker", None)
+        threads, callers = threading.active_count(), []
+        assert T.run_shards(lambda lo, hi: callers.append(threading.get_ident()) or (lo, hi),
+                            5, self.BIG) == [(0, 5)]
+        assert callers == [threading.get_ident()]
+        assert T._worker is None and threading.active_count() == threads
 
     def test_worker_exception_reaches_the_caller(self):
         def task(lo, hi):
