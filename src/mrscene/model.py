@@ -39,7 +39,7 @@ class ModelConfig:
     attention_heads: int = 4
     attention_width: int = 64
     threshold: float = 0.5
-    per_position_lstm: bool = False  # old checkpoints echo it; only False is valid
+    per_position_lstm = False  # not a field: read by bench/reference.py, dropped from old echoes by from_dict
 
     def __post_init__(self):
         if self.branches is None:
@@ -79,8 +79,6 @@ class ModelConfig:
             raise ConfigError(
                 f"{len(self.branches)} branches for {len(self.subset_shapes)} band subsets"
             )
-        if self.per_position_lstm:
-            raise ConfigError("per_position_lstm must be false: each LSTM direction has one weight set")
         check_threshold(self.threshold)
         for name in ("n_classes", "descriptor_width", "hidden_width", "attention_heads", "attention_width"):
             if getattr(self, name) < 1:
@@ -111,6 +109,11 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, payload) -> "ModelConfig":
+        if isinstance(payload, dict) and "per_position_lstm" in payload:
+            # older checkpoints echo this former field as false; each LSTM direction has one weight set
+            if payload["per_position_lstm"] is not False:
+                raise ConfigError("per_position_lstm must be false: each LSTM direction has one weight set")
+            payload = {key: value for key, value in payload.items() if key != "per_position_lstm"}
         return cls(**config_kwargs("model", cls, payload, {
             "subset_shapes": shape_triples,
             "branches": _branches_from_dict,

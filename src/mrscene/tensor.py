@@ -13,8 +13,9 @@ runs the forward pass.
 
 ``run_shards`` splits a batch of large samples into two data-parallel
 shards, one run by the caller and one by a reused worker thread, each on a
-one-thread BLAS. No op keeps state between calls, so threads may run ops
-at once on tensors they do not share.
+one-thread BLAS and each in a context of its own, whose gradient sink
+collects that shard's leaf gradients. No op keeps state between calls, so
+threads may run ops at once on tensors they do not share.
 
 Two float precisions are supported: float32 (training, evaluation) and
 float64 (gradient checking). The dtype of an operation's result follows
@@ -24,7 +25,6 @@ numpy promotion of its inputs.
 import contextvars
 import ctypes
 import functools
-import importlib
 import os
 import threading
 from concurrent import futures
@@ -175,21 +175,16 @@ def _coerce(value, dtype) -> Tensor:
     return Tensor(np.asarray(value, dtype=dtype))
 
 
-class _ThreadState(threading.local):
-    """What a shard worker's thread holds apart from its caller's."""
-
-    sink = None  # {leaf: stand-in} collecting the leaf gradients of a worker's shard
-
-
-_thread = _ThreadState()
+# {leaf: stand-in} collecting the leaf gradients of the running shard
+_sink = contextvars.ContextVar("grad_sink", default=None)
 
 
 def _grad_home(t: Tensor) -> Tensor:
-    """The tensor whose ``.grad`` collects t's gradient on this thread: t
-    itself, or, while this thread runs a worker's shard, a leaf's stand-in
-    in the shard's gradient sink, so that the two shards never add into one
-    parameter's gradient at once."""
-    sink = _thread.sink
+    """The tensor whose ``.grad`` collects t's gradient: t itself, or,
+    inside a shard of ``run_shards``, a leaf's stand-in in the shard's
+    gradient sink, so that the two shards never add into one parameter's
+    gradient at once."""
+    sink = _sink.get()
     if sink is None or t._parents:
         return t
     home = sink.get(t)
@@ -335,7 +330,6 @@ def _in_map(d: int, size: int, span: int) -> tuple:
 
 
 _BAND_BYTES = 8 << 20  # conv2d's patch-matrix budget per band, shared by the running shards
-_shards_running = 1  # threads running ops at once: 2 inside a sharded run_shards call
 
 
 def _band_buffer(nbytes: int) -> np.ndarray:
@@ -392,8 +386,8 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, pool: bool = False) -> Tens
 
     The im2col matrix is never built whole. The output is walked in bands
     of whole output rows, as many as fit ``_BAND_BYTES`` of patch matrix
-    (half of it inside a sharded ``run_shards`` call, where two threads
-    each hold a band) and at least one (an even number, at least two, when
+    (half of it inside a shard of ``run_shards``, where two threads each
+    hold a band) and at least one (an even number, at least two, when
     pooling, so that bands hold whole windows). The forward and the backward each allocate
     one byte buffer that fits the largest band and build each band's matrix
     in it over the previous band's; neither buffer outlives its pass, so
@@ -432,7 +426,8 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, pool: bool = False) -> Tens
     s = 2 if pool else 1  # pooling stride
     hc, wc = h - h % s, w - w % s  # the outputs computed
     xt = np.ascontiguousarray(x.data.transpose(1, 2, 3, 0))
-    rows = _BAND_BYTES // (_shards_running * cin * th * tw * wc * n * x.dtype.itemsize)
+    shards = 1 if _sink.get() is None else 2
+    rows = _BAND_BYTES // (shards * cin * th * tw * wc * n * x.dtype.itemsize)
     rows = max(s, rows - rows % s)  # a pooled band holds whole windows
     bands = [(y0, min(y0 + rows, hc)) for y0 in range(0, hc, rows)]
 
@@ -685,7 +680,7 @@ def mean_all(x: Tensor) -> Tensor:
 # sharded against 15 ms; 12,800 values broke even; 28,800 gained 9% (faster
 # in 11 of 12 rounds) and a BigEarthNet-shaped step (80,000) 15-20%.
 _SHARD_MIN_VALUES = 20_000
-_worker = None  # the reused shard worker, made by the first sharded call
+_running = threading.Lock()  # held by the one sharded call that may run at a time
 
 
 def _usable_cpus() -> int:
@@ -701,12 +696,8 @@ def _blas_threads():
     """(get, set) of the thread count of the OpenBLAS that numpy links, or
     None when numpy's BLAS exports no such pair. The count is one for the
     whole process, not per thread."""
-    try:
-        umath = importlib.import_module("numpy._core._multiarray_umath")
-    except ImportError:  # numpy 1.x
-        umath = importlib.import_module("numpy.core._multiarray_umath")
-    try:
-        lib = ctypes.CDLL(umath.__file__)  # its symbol lookups reach the BLAS it links
+    try:  # the symbol lookups of numpy's extension module reach the BLAS it links
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
     except OSError:
         return None
     for prefix in ("scipy_openblas", "openblas"):
@@ -720,33 +711,28 @@ def _blas_threads():
     return None
 
 
+@functools.cache
 def _shard_worker() -> futures.ThreadPoolExecutor:
     """The one worker thread, made on first use. Before it exists, glibc is
     told to serve every thread from its main malloc arena: an arena of the
     worker's own would hold its freed blocks apart and raise peak RSS."""
-    global _worker
-    if _worker is None:
-        try:
-            mallopt = ctypes.CDLL(None).mallopt
-        except (AttributeError, OSError, TypeError):  # not glibc
-            pass
-        else:
-            mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-            mallopt(-8, 1)  # M_ARENA_MAX
-        _worker = futures.ThreadPoolExecutor(1, thread_name_prefix="mrscene-shard")
-    return _worker
-
-
-def _sinking(task, lo: int, hi: int, errors: dict):
-    """task(lo, hi) under the numpy error state ``errors`` (numpy 1.x keeps
-    it per thread), with the leaf gradients it makes on this thread sent to
-    a fresh sink; returns its result and the sink."""
-    _thread.sink = sink = {}
     try:
-        with np.errstate(**errors):
-            return task(lo, hi), sink
-    finally:
-        _thread.sink = None
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # not glibc
+        pass
+    else:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        mallopt(-8, 1)  # M_ARENA_MAX
+    return futures.ThreadPoolExecutor(1, thread_name_prefix="mrscene-shard")
+
+
+def _shard(task, lo: int, hi: int):
+    """task(lo, hi) with the leaf gradients it makes sent to a fresh sink;
+    returns its result and the sink. Run it in a context of its own: the
+    sink stays set in that context."""
+    sink = {}
+    _sink.set(sink)
+    return task(lo, hi), sink
 
 
 def run_shards(task, n: int, values_per_item: int) -> list:
@@ -756,41 +742,43 @@ def run_shards(task, n: int, values_per_item: int) -> list:
     A batch of at least two items of at least ``_SHARD_MIN_VALUES`` values
     each, in a process that may use two CPUs, is split in two. This thread
     runs ``task(0, h)``, h = ceil(n / 2), while the reused worker thread runs
-    ``task(h, n)`` in a copy of this thread's context (grad mode and numpy
-    error state included). OpenBLAS is held at one thread for the whole
-    call, so each shard's GEMMs run on its own core, and each shard's conv2d
-    bands get half of ``_BAND_BYTES``. The worker's gradients into leaf
-    tensors (the parameters) go to a sink of its own and are added into
-    their ``.grad`` after this thread's, once both shards are done: each
-    leaf's gradient is then this shard's plus the worker's, the same sum in
-    every run. This thread waits for the worker before it restores the BLAS
-    thread count, even when its own shard raises; then an exception of its
-    own shard, or else one of the worker's, is re-raised. Without the
-    OpenBLAS thread calls two threads would oversubscribe the cores, so the
-    batch runs whole.
+    ``task(h, n)``. Each shard runs in its own copy of this thread's
+    context, so both inherit its grad mode and numpy error state, and each
+    has a gradient sink of its own: the gradients a shard adds into leaf
+    tensors (the parameters) go to stand-ins there, and each shard's conv2d
+    bands get half of ``_BAND_BYTES``. OpenBLAS is held at one thread for
+    the whole call, so each shard's GEMMs run on its own core. This thread
+    waits for the worker before it restores the BLAS thread count, even
+    when its own shard raises; then an exception of its own shard, or else
+    one of the worker's, is re-raised. Once both are done, this shard's sink
+    and then the worker's are added into the leaves' ``.grad``: each leaf's
+    gradient is the same sum in every run.
+
+    One sharded call runs at a time: a call made while another is running,
+    from one of its shards or from any other thread, runs whole, as it also
+    does without the OpenBLAS thread calls, where two threads would
+    oversubscribe the cores.
     """
-    global _shards_running
     blas = _blas_threads()
     if (n < 2 or values_per_item < _SHARD_MIN_VALUES or _usable_cpus() < 2 or blas is None
-            or _shards_running > 1):
-        return [task(0, n)]  # a task of a sharded call that shards again runs whole
+            or not _running.acquire(blocking=False)):
+        return [task(0, n)]
     h = (n + 1) // 2
     get_threads, set_threads = blas
-    errors = np.geterr()
     threads = get_threads()
-    _shards_running = 2
     set_threads(1)
     try:
-        job = _shard_worker().submit(contextvars.copy_context().run, _sinking, task, h, n, errors)
+        job = _shard_worker().submit(contextvars.copy_context().run, _shard, task, h, n)
         try:
-            first = task(0, h)
+            first, own = contextvars.copy_context().run(_shard, task, 0, h)
         finally:
             futures.wait((job,))
-        second, sink = job.result()
+        second, theirs = job.result()
     finally:
         set_threads(threads)
-        _shards_running = 1
-    for leaf, home in sink.items():
-        if home.grad is not None:
-            _accumulate(leaf, home.grad, owned=True)
+        _running.release()
+    for sink in (own, theirs):
+        for leaf, home in sink.items():
+            if home.grad is not None:
+                _accumulate(leaf, home.grad, owned=True)
     return [first, second]

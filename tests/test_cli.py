@@ -312,11 +312,12 @@ class TestEvaluatePredictAttn:
 
     @pytest.mark.parametrize("per_position,code", [(False, 0), (True, 2)])
     def test_checkpoint_echo_of_per_position_lstm(self, workspace, tmp_path, capsys, per_position, code):
-        """Checkpoints echo "per_position_lstm": false and still load; true is refused."""
+        """Older checkpoints echo the former field "per_position_lstm":
+        false and still load; true is refused."""
         from mrscene.checkpoint import read_checkpoint
 
         stored = read_checkpoint(workspace["checkpoint"]).config
-        assert stored["model"]["per_position_lstm"] is False
+        assert "per_position_lstm" not in stored["model"]
         old_echo = json.dumps(stored, sort_keys=True, separators=(",", ":")).encode()
         echo = json.dumps({**stored, "model": {**stored["model"], "per_position_lstm": per_position}},
                           sort_keys=True, separators=(",", ":")).encode()

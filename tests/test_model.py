@@ -71,7 +71,15 @@ class TestModelConfig:
             "attention_width": 4, "threshold": 0.5, "per_position_lstm": False,
         }
         assert ModelConfig.from_dict(stored) == small_config()
+        del stored["per_position_lstm"]  # a former field that new checkpoints do not echo
         assert json.loads(json.dumps(small_config().to_dict())) == stored
+
+    @pytest.mark.parametrize("value", [True, 1, 0, None, "false"])
+    def test_legacy_per_position_lstm_loads_only_as_false(self, value):
+        payload = small_config().to_dict()
+        assert ModelConfig.from_dict({**payload, "per_position_lstm": False}) == small_config()
+        with pytest.raises(ConfigError, match="per_position_lstm"):
+            ModelConfig.from_dict({**payload, "per_position_lstm": value})
 
     @pytest.mark.parametrize("payload", [
         [1],
@@ -95,7 +103,7 @@ class TestModelConfig:
             ModelConfig.from_dict(payload).validate(strict_filters=False)
 
     @pytest.mark.parametrize("field,value", [
-        ("threshold", 1.0), ("threshold", float("nan")), ("hidden_width", "8"), ("per_position_lstm", 1),
+        ("threshold", 1.0), ("threshold", float("nan")), ("hidden_width", "8"),
         ("n_patches", 0), ("n_patches", -4), ("n_patches", 10**41),
     ])
     def test_rejects_bad_scalar(self, field, value):

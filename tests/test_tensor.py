@@ -821,26 +821,33 @@ class TestRunShards:
         yield get
         set_(before)
 
+    @staticmethod
+    def no_worker(monkeypatch):
+        """Fail the test if a shard worker is asked for."""
+        monkeypatch.setattr(T, "_shard_worker", lambda: pytest.fail("a shard worker was asked for"))
+
     def test_split_at_half_rounded_up(self):
-        calls = []
+        calls, threads = [], set()
 
         def task(lo, hi):
-            calls.append((lo, hi, T._shards_running))
+            assert T._sink.get() is not None  # each shard has a gradient sink
+            calls.append((lo, hi))
+            threads.add(threading.get_ident())
             return hi - lo
 
         assert T.run_shards(task, 5, self.BIG) == [3, 2]
-        assert sorted(calls) == [(0, 3, 2), (3, 5, 2)]
-        assert T._shards_running == 1
+        assert sorted(calls) == [(0, 3), (3, 5)] and len(threads) == 2
+        assert T._sink.get() is None  # each shard's sink lived in a context of its own
 
     def test_below_the_gate_one_call_and_no_worker(self, monkeypatch):
-        monkeypatch.setattr(T, "_worker", None)
+        self.no_worker(monkeypatch)
         threads = threading.active_count()
         task = lambda lo, hi: (lo, hi)  # noqa: E731
         assert T.run_shards(task, 8, self.BIG - 1) == [(0, 8)]
         assert T.run_shards(task, 1, 10 * self.BIG) == [(0, 1)]
         monkeypatch.setattr(T, "_usable_cpus", lambda: 1)
         assert T.run_shards(task, 8, 10 * self.BIG) == [(0, 8)]
-        assert T._worker is None and threading.active_count() == threads
+        assert threading.active_count() == threads
 
     def test_one_worker_thread_reused(self):
         T.run_shards(lambda lo, hi: None, 2, self.BIG)
@@ -861,11 +868,48 @@ class TestRunShards:
         assert requests == [4 * one_row] * 2  # one 4-row band buffer in each shard's forward
         np.testing.assert_allclose(np.concatenate(shards), conv(0, 2), rtol=1e-12, atol=0)
 
+    def test_a_thread_started_in_a_shard_gets_the_whole_band_budget(self, monkeypatch):
+        """The halved budget belongs to the shard's context: a conv2d on a
+        thread of its own, started from the caller's shard, gets all 8
+        rows."""
+        x, k, b = RNG(0).normal(size=(1, 3, 8, 5)), RNG(1).normal(size=(4, 3, 3, 3)), np.zeros(4)
+        one_row = 3 * 9 * 5 * 8
+        monkeypatch.setattr(T, "_BAND_BYTES", 8 * one_row)
+        requests = record_band_buffers(monkeypatch)
+
+        def task(lo, hi):
+            if lo == 0:
+                thread = threading.Thread(target=T.conv2d, args=(T.Tensor(x), T.Tensor(k), T.Tensor(b)))
+                thread.start()
+                thread.join(30)
+                assert not thread.is_alive()
+
+        T.run_shards(task, 2, self.BIG)
+        assert requests == [8 * one_row]
+
     def test_a_shard_that_shards_again_runs_whole(self):
         """The worker would otherwise wait on a job queued behind itself."""
         inner = lambda lo, hi: (lo, hi)  # noqa: E731
         outer = lambda lo, hi: T.run_shards(inner, 4, self.BIG)  # noqa: E731
         assert T.run_shards(outer, 2, self.BIG) == [[(0, 4)], [(0, 4)]]
+
+    def test_a_second_caller_runs_whole(self, blas_threads):
+        """A thread that calls run_shards while a sharded call is running
+        gets one whole call; the BLAS count ends where it began."""
+        inner = lambda lo, hi: (lo, hi, blas_threads())  # noqa: E731
+        seen = []
+
+        def outer(lo, hi):
+            if lo == 0:
+                thread = threading.Thread(target=lambda: seen.append(T.run_shards(inner, 4, self.BIG)))
+                thread.start()
+                thread.join(30)
+                assert not thread.is_alive()
+            return lo
+
+        assert T.run_shards(outer, 2, self.BIG) == [0, 1]
+        assert seen == [[(0, 4, 1)]]
+        assert blas_threads() == 2
 
     def test_worker_inherits_grad_mode_and_error_state(self):
         x = T.Tensor(np.ones(3), requires_grad=True)
@@ -918,12 +962,12 @@ class TestRunShards:
         """Two threads would then oversubscribe the cores: the batch runs
         whole on the calling thread."""
         monkeypatch.setattr(T, "_blas_threads", lambda: None)
-        monkeypatch.setattr(T, "_worker", None)
+        self.no_worker(monkeypatch)
         threads, callers = threading.active_count(), []
         assert T.run_shards(lambda lo, hi: callers.append(threading.get_ident()) or (lo, hi),
                             5, self.BIG) == [(0, 5)]
         assert callers == [threading.get_ident()]
-        assert T._worker is None and threading.active_count() == threads
+        assert threading.active_count() == threads
 
     def test_worker_exception_reaches_the_caller(self):
         def task(lo, hi):
@@ -933,7 +977,18 @@ class TestRunShards:
 
         with pytest.raises(ShapeError, match="worker shard"):
             T.run_shards(task, 4, self.BIG)
-        assert T._shards_running == 1
+        assert T._sink.get() is None
+
+    @pytest.mark.parametrize("failing", ["caller", "worker"])
+    def test_a_call_after_a_failed_one_shards_again(self, failing):
+        def task(lo, hi):
+            if failing == ("worker" if lo else "caller"):
+                raise ShapeError(failing)
+
+        with pytest.raises(ShapeError, match=failing):
+            T.run_shards(task, 4, self.BIG)
+        assert T.run_shards(lambda lo, hi: (lo, hi), 4, self.BIG) == [(0, 2), (2, 4)]
+        assert T._sink.get() is None
 
     @pytest.mark.parametrize("failing", [None, "caller", "worker"])
     def test_blas_threads_held_at_one_then_restored(self, blas_threads, failing):
