@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: generate-data, train, evaluate, predict, attn-dump, gradcheck.
-Exit codes: 0 success, 1 gradient-check failure or diverged training (the
-loss log of the completed epochs is kept), 2 usage, config or format error.
+Exit codes: 0 success, 1 gradient-check failure, 2 usage, config or format
+error, 3 diverged training (the loss log of the completed epochs is kept).
 Every report embeds the resolved run configuration for reproducibility.
 """
 
@@ -17,7 +17,7 @@ import numpy as np
 from . import gradcheck as gradcheck_mod
 from .checkpoint import load_parameters, read_checkpoint
 from .dataset import DatasetManifest, generate_synthetic, load_split
-from .errors import ConfigError, FormatError, MrsceneError, UsageError, json_object
+from .errors import ConfigError, MrsceneError, TrainingDivergedError, UsageError, json_object
 from .head import check_threshold, predict
 from .model import Model, ModelConfig
 from .tensor import no_grad
@@ -250,12 +250,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ConfigError, FormatError, OSError) as exc:
+    except TrainingDivergedError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except (MrsceneError, OSError) as exc:  # usage, config, format and shape errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MrsceneError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -329,7 +329,7 @@ def _in_map(d: int, size: int, span: int) -> tuple:
     return slice(lo, hi), slice(lo + d, hi + d)
 
 
-_BAND_BYTES = 8 << 20  # conv2d's patch-matrix budget per band, shared by the running shards
+_BAND_BYTES = 4 << 20  # conv2d's patch-matrix budget per band of one call
 
 
 def _band_buffer(nbytes: int) -> np.ndarray:
@@ -385,10 +385,10 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, pool: bool = False) -> Tens
     padding (a kernel larger than its map) are skipped.
 
     The im2col matrix is never built whole. The output is walked in bands
-    of whole output rows, as many as fit ``_BAND_BYTES`` of patch matrix
-    (half of it inside a shard of ``run_shards``, where two threads each
-    hold a band) and at least one (an even number, at least two, when
-    pooling, so that bands hold whole windows). The forward and the backward each allocate
+    of whole output rows, as many as fit ``_BAND_BYTES`` of patch matrix,
+    the budget of one call on any thread, and at least one (an even number,
+    at least two, when pooling, so that bands hold whole windows). The
+    forward and the backward each allocate
     one byte buffer that fits the largest band and build each band's matrix
     in it over the previous band's; neither buffer outlives its pass, so
     conv2d keeps no state between calls. The forward multiplies each band
@@ -426,8 +426,7 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, pool: bool = False) -> Tens
     s = 2 if pool else 1  # pooling stride
     hc, wc = h - h % s, w - w % s  # the outputs computed
     xt = np.ascontiguousarray(x.data.transpose(1, 2, 3, 0))
-    shards = 1 if _sink.get() is None else 2
-    rows = _BAND_BYTES // (shards * cin * th * tw * wc * n * x.dtype.itemsize)
+    rows = _BAND_BYTES // (cin * th * tw * wc * n * x.dtype.itemsize)
     rows = max(s, rows - rows % s)  # a pooled band holds whole windows
     bands = [(y0, min(y0 + rows, hc)) for y0 in range(0, hc, rows)]
 
@@ -741,18 +740,18 @@ def run_shards(task, n: int, values_per_item: int) -> list:
 
     A batch of at least two items of at least ``_SHARD_MIN_VALUES`` values
     each, in a process that may use two CPUs, is split in two. This thread
-    runs ``task(0, h)``, h = ceil(n / 2), while the reused worker thread runs
-    ``task(h, n)``. Each shard runs in its own copy of this thread's
+    runs ``task(0, h)``, h = ceil(n / 2), while the reused worker thread
+    runs ``task(h, n)``. Each shard runs in its own copy of this thread's
     context, so both inherit its grad mode and numpy error state, and each
     has a gradient sink of its own: the gradients a shard adds into leaf
-    tensors (the parameters) go to stand-ins there, and each shard's conv2d
-    bands get half of ``_BAND_BYTES``. OpenBLAS is held at one thread for
-    the whole call, so each shard's GEMMs run on its own core. This thread
-    waits for the worker before it restores the BLAS thread count, even
-    when its own shard raises; then an exception of its own shard, or else
-    one of the worker's, is re-raised. Once both are done, this shard's sink
-    and then the worker's are added into the leaves' ``.grad``: each leaf's
-    gradient is the same sum in every run.
+    tensors (the parameters) go to stand-ins there. No op knows of the
+    split: a task weights its mean by its share of n. OpenBLAS is held at
+    one thread for the whole call, so each shard's GEMMs run on its own
+    core. This thread waits for the worker before it restores the BLAS
+    thread count, even when its own shard raises; then an exception of its
+    own shard, or else one of the worker's, is re-raised. Once both are
+    done, this shard's sink and then the worker's are added into the
+    leaves' ``.grad``: each leaf's gradient is the same sum in every run.
 
     One sharded call runs at a time: a call made while another is running,
     from one of its shards or from any other thread, runs whole, as it also

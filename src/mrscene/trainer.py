@@ -164,9 +164,9 @@ def _epoch_order(n: int, seed: int, epoch: int, shuffle: bool) -> np.ndarray:
 def train(model: Model, samples, cfg: TrainConfig, out_dir=None, run_config: dict = None) -> TrainResult:
     """Seeded epoch loop: shuffle, batch, forward, backward, optimizer step.
 
-    A batch of large samples runs its forward and backward as two
-    data-parallel shards on two threads (``tensor.run_shards``); the
-    optimizer step then runs on the summed gradients.
+    A batch of large samples runs as two data-parallel shards
+    (``tensor.run_shards``), each weighting its mean loss by its share of
+    the batch; the optimizer step then runs on the summed gradients.
 
     Appends the mean per-sample loss of every epoch to the trajectory.
     When out_dir is given, rewrites `loss_log.txt` after every epoch, so it
@@ -202,11 +202,11 @@ def train(model: Model, samples, cfg: TrainConfig, out_dir=None, run_config: dic
             model.zero_grad()
 
             def step(lo, hi):
-                """Forward and backward of batch[lo:hi], its loss scaled as
-                a share of the whole batch's mean; the loss value."""
+                """Forward and backward of batch[lo:hi], its mean loss
+                weighted by its share of the batch; the loss value."""
                 with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss is reported below
-                    loss = bce_with_logits_loss(model.forward_samples(batch[lo:hi]).scores,
-                                                targets[lo:hi], count=targets.size)
+                    scores = model.forward_samples(batch[lo:hi]).scores
+                    loss = bce_with_logits_loss(scores, targets[lo:hi]) * ((hi - lo) / len(batch))
                 value = loss.item()
                 if np.isfinite(value):
                     loss.backward()

@@ -118,6 +118,47 @@ class TestSampleRoundTrip:
             read_sample(path, manifest)
 
 
+class TestCrashSafeWrites:
+    """A sample file or manifest whose write fails midway leaves the
+    previous file as it was and no ``.tmp`` file behind."""
+
+    class HalfWriter:
+        """A file that takes half of its first write, then fails as a full
+        disk would."""
+
+        def __init__(self, path, mode):
+            self.file = open(path, mode)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self.file.close()
+
+        def write(self, data):
+            self.file.write(data[: len(data) // 2])
+            raise OSError(28, "No space left on device")
+
+    @pytest.mark.parametrize("what", ["sample", "manifest"])
+    def test_a_failed_rewrite_keeps_the_old_file(self, tmp_path, monkeypatch, what):
+        shapes = [(4, 8, 8), (2, 4, 4)]
+        path = tmp_path / ("s.mrs" if what == "sample" else "manifest.json")
+
+        def write(seed):
+            if what == "sample":
+                write_sample(path, random_sample(np.random.default_rng(seed), shapes, 5))
+            else:
+                DatasetManifest(shapes, 5, [f"c{i}" for i in range(5)], {"train": ["s0"]}, seed=seed).save(path)
+
+        write(0)
+        before = path.read_bytes()
+        monkeypatch.setattr("mrscene.checkpoint.open", self.HalfWriter, raising=False)
+        with pytest.raises(OSError, match="No space"):
+            write(1)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
 class TestSplitCounts:
     def test_64_gives_38_13_13(self):
         assert split_counts(64) == (38, 13, 13)

@@ -5,9 +5,12 @@ import pytest
 
 from mrscene import tensor as T
 from mrscene.gradcheck import (
+    DEFAULT_STEP,
+    MAX_REDRAWS,
     check_model_gradients,
     check_module_gradients,
     check_parameters,
+    check_with_redraws,
     numeric_gradient,
     relative_error,
     shrunken_config,
@@ -32,6 +35,61 @@ class TestPrimitives:
         assert report.passed
         assert report.entries[0].n_elements == 9
         assert "square" in report.format()
+
+
+class TestRedraws:
+    """check_with_redraws draws a new point while every failure straddles a
+    kink, and fails a wrong analytic gradient at once."""
+
+    @staticmethod
+    def relu_sweeps(points, draws):
+        """A sweep of relu(x) at points[draw], recording each draw."""
+
+        def sweep(draw):
+            draws.append(draw)
+            x = Tensor(np.array([points[draw]]), requires_grad=True)
+            return check_parameters(lambda: T.sum_all(T.relu(x)), {"x": x}, label="relu")
+
+        return sweep
+
+    def test_a_kink_within_a_step_is_redrawn(self):
+        """At x = step/2 the central difference reads 0.75 against a slope
+        of 1; at x = 0.3 it is exact."""
+        draws = []
+        report = check_with_redraws(self.relu_sweeps([DEFAULT_STEP / 2, 0.3], draws))
+        assert draws == [0, 1]
+        assert report.passed and report.redraws == 1
+        assert "redraws 1" in report.format()
+
+    def test_a_kink_at_every_draw_fails_after_the_last_redraw(self):
+        draws = []
+        report = check_with_redraws(self.relu_sweeps([DEFAULT_STEP / 2] * (MAX_REDRAWS + 1), draws))
+        assert draws == list(range(MAX_REDRAWS + 1))
+        assert not report.passed and report.redraws == MAX_REDRAWS
+        assert report.entries[0].unexplained == 0
+
+    def test_a_wrong_gradient_fails_at_once(self):
+        """x * x whose backward is 1% too large, at points far from any
+        kink."""
+        draws = []
+
+        def sweep(draw):
+            draws.append(draw)
+            x = Tensor(np.array([0.3, -0.7]), requires_grad=True)
+
+            def wrong_square():
+                def _bw(g):
+                    _accumulate(x, 2.02 * g * x.data)
+
+                return Tensor(x.data * x.data, _parents=(x,), _backward=_bw, _op="square")
+
+            return check_parameters(lambda: T.sum_all(wrong_square()), {"x": x}, label="square")
+
+        report = check_with_redraws(sweep)
+        assert draws == [0]
+        assert not report.passed and report.redraws == 0
+        assert report.entries[0].unexplained == 2
+        assert "2 off a kink" in report.format()
 
 
 class TestModuleChecks:

@@ -856,36 +856,19 @@ class TestRunShards:
             T.run_shards(lambda lo, hi: threading.get_ident(), 2, self.BIG)
         assert threading.active_count() == threads
 
-    def test_shards_share_the_band_budget(self, monkeypatch):
-        """Each shard's conv2d bands get half of _BAND_BYTES: here 4 rows of
-        one sample's patch matrix, where a whole budget would give 8."""
+    def test_a_shard_gets_the_band_buffer_of_an_unsharded_call(self, monkeypatch):
+        """The band budget belongs to one conv2d call, wherever it runs: a
+        one-sample conv2d asks for the same 8-row band buffer in each shard
+        as on the caller outside run_shards."""
         x, k, b = RNG(0).normal(size=(2, 3, 8, 5)), RNG(1).normal(size=(4, 3, 3, 3)), np.zeros(4)
         one_row = 3 * 9 * 5 * 8  # patch-matrix bytes of one output row of one float64 sample
         monkeypatch.setattr(T, "_BAND_BYTES", 8 * one_row)
         requests = record_band_buffers(monkeypatch)
         conv = lambda lo, hi: T.conv2d(T.Tensor(x[lo:hi]), T.Tensor(k), T.Tensor(b)).data  # noqa: E731
+        whole = np.concatenate([conv(0, 1), conv(1, 2)])
         shards = T.run_shards(conv, 2, self.BIG)
-        assert requests == [4 * one_row] * 2  # one 4-row band buffer in each shard's forward
-        np.testing.assert_allclose(np.concatenate(shards), conv(0, 2), rtol=1e-12, atol=0)
-
-    def test_a_thread_started_in_a_shard_gets_the_whole_band_budget(self, monkeypatch):
-        """The halved budget belongs to the shard's context: a conv2d on a
-        thread of its own, started from the caller's shard, gets all 8
-        rows."""
-        x, k, b = RNG(0).normal(size=(1, 3, 8, 5)), RNG(1).normal(size=(4, 3, 3, 3)), np.zeros(4)
-        one_row = 3 * 9 * 5 * 8
-        monkeypatch.setattr(T, "_BAND_BYTES", 8 * one_row)
-        requests = record_band_buffers(monkeypatch)
-
-        def task(lo, hi):
-            if lo == 0:
-                thread = threading.Thread(target=T.conv2d, args=(T.Tensor(x), T.Tensor(k), T.Tensor(b)))
-                thread.start()
-                thread.join(30)
-                assert not thread.is_alive()
-
-        T.run_shards(task, 2, self.BIG)
-        assert requests == [8 * one_row]
+        assert requests == [8 * one_row] * 4  # one band buffer per forward, outside and inside
+        np.testing.assert_allclose(np.concatenate(shards), whole, rtol=1e-12, atol=0)
 
     def test_a_shard_that_shards_again_runs_whole(self):
         """The worker would otherwise wait on a job queued behind itself."""

@@ -313,24 +313,27 @@ class TestShardedTraining:
         monkeypatch.setattr(T, "_usable_cpus", lambda: 2)
 
     @staticmethod
-    def one_step(monkeypatch, cpus):
-        """Loss and parameter gradients of one plain-SGD step at batch 8,
+    def one_step(monkeypatch, cpus, batch=8):
+        """Loss and parameter gradients of one plain-SGD step at ``batch``,
         and the number of shards it ran as."""
         monkeypatch.setattr(T, "_usable_cpus", lambda: cpus)
         shards = []
         monkeypatch.setattr(T, "run_shards", lambda *a: shards.append(run_shards(*a)) or shards[-1])
         model = Model(ModelConfig(n_classes=4, subset_shapes=PROFILES["bigearthnet-shaped"].subset_shapes), seed=0)
-        cfg = TrainConfig(epochs=1, batch_size=8, optimizer="sgd", shuffle=False, learning_rate=1e-9)
-        loss = train(model, bigearthnet_samples(8), cfg).loss_trajectory[0]
+        cfg = TrainConfig(epochs=1, batch_size=batch, optimizer="sgd", shuffle=False, learning_rate=1e-9)
+        loss = train(model, bigearthnet_samples(batch), cfg).loss_trajectory[0]
         return loss, {name: p.grad for name, p in model.parameters.items()}, len(shards[0])
 
     def test_sharded_step_matches_the_unsharded_one(self, monkeypatch):
-        loss, grads, shards = self.one_step(monkeypatch, 2)
-        one_loss, one_grads, one_shards = self.one_step(monkeypatch, 1)
-        assert (shards, one_shards) == (2, 1)
-        assert loss == pytest.approx(one_loss, rel=1e-5)
-        for name, g in grads.items():
-            assert np.abs(g - one_grads[name]).max() <= 1e-5 * np.abs(one_grads[name]).max(), name
+        """At batch 8 the shards weigh their mean losses by 1/2 each; at
+        batch 5, by 3/5 and 2/5, which are not powers of two."""
+        for batch in (8, 5):
+            loss, grads, shards = self.one_step(monkeypatch, 2, batch)
+            one_loss, one_grads, one_shards = self.one_step(monkeypatch, 1, batch)
+            assert (shards, one_shards) == (2, 1)
+            assert loss == pytest.approx(one_loss, rel=1e-5)
+            for name, g in grads.items():
+                assert np.abs(g - one_grads[name]).max() <= 1e-5 * np.abs(one_grads[name]).max(), (batch, name)
 
     def test_without_blas_thread_calls_the_step_is_bit_identical(self, monkeypatch):
         """The batch then runs whole, as the one-CPU step does."""
