@@ -170,6 +170,12 @@ def split_counts(n: int, fractions=(0.6, 0.2, 0.2)) -> tuple:
     return tuple(counts)
 
 
+# The largest pixel noise sigma: a pixel is a class signature (|s| <= 1) plus
+# sigma times a standard normal draw, and numpy's ziggurat draws, from 53-bit
+# uniforms, lie within 14 sigmas, so 16 sigmas stay below float32's maximum.
+MAX_NOISE = float(np.finfo(np.float32).max) / 16
+
+
 def class_signatures(rng: np.random.Generator, n_classes: int, n_bands: int) -> np.ndarray:
     """Per-class per-band means, kept away from the zero background."""
     magnitude = rng.uniform(0.3, 1.0, size=(n_classes, n_bands))
@@ -223,8 +229,9 @@ def generate_synthetic(
         raise UsageError(f"n_samples must be >= 1, got {n_samples}")
     if seed < 0:
         raise UsageError(f"seed must be >= 0, got {seed}")
-    if not (math.isfinite(noise) and noise >= 0):
-        raise UsageError(f"noise must be a finite number >= 0, got {noise}")
+    if not 0 <= noise <= MAX_NOISE:  # NaN fails too
+        raise UsageError(f"noise must be a number in [0, {MAX_NOISE:.3g}], so that float32 pixels stay "
+                         f"finite, got {noise}")
     fractions = tuple(split_fractions)
     if (len(fractions) != 3 or not all(math.isfinite(f) and f >= 0 for f in fractions)
             or abs(sum(fractions) - 1.0) > 1e-9):

@@ -25,6 +25,7 @@ numpy promotion of its inputs.
 import contextvars
 import ctypes
 import functools
+import math
 import os
 import threading
 from concurrent import futures
@@ -329,19 +330,119 @@ def _in_map(d: int, size: int, span: int) -> tuple:
     return slice(lo, hi), slice(lo + d, hi + d)
 
 
-_BAND_BYTES = 4 << 20  # conv2d's patch-matrix budget per band of one call
+_BAND_BYTES = 4 << 20  # the budget of all of one conv2d pass's band buffers
 
 
 def _band_buffer(nbytes: int) -> np.ndarray:
-    """Uninitialised bytes for one conv2d pass's patch-matrix bands."""
+    """Uninitialised bytes for the band buffers of one conv2d pass."""
     return np.empty(nbytes, np.uint8)
 
 
-def _pool2(full: np.ndarray, out: np.ndarray, win: np.ndarray):
-    """2x2 max pooling of a (C, r, 2, w2, 2, N) band of windows into
-    ``out`` (C, r, w2, N), and into ``win`` the row-major tap 0..3 of each
+def _bands(hc: int, s: int, fixed: int, per_row: int) -> tuple:
+    """Bands [y0, y1) over hc output rows, each of as many rows as keep
+    ``fixed + rows * per_row`` bytes within ``_BAND_BYTES``, a multiple of
+    s and at least s; and the bytes that the largest band needs."""
+    rows = min(hc, max(s, (_BAND_BYTES - fixed) // per_row // s * s))
+    return [(y0, min(y0 + rows, hc)) for y0 in range(0, hc, rows)], fixed + rows * per_row
+
+
+def _carve(buf: np.ndarray, dtype, *shapes) -> list:
+    """Arrays of the given shapes laid end to end in the byte buffer buf."""
+    views, at = [], 0
+    for shape in shapes:
+        size = math.prod(shape) * dtype.itemsize
+        views.append(buf[at : at + size].view(dtype).reshape(shape))
+        at += size
+    return views
+
+
+def _rows(a: np.ndarray, y0: int, y1: int) -> np.ndarray:
+    """Rows [y0, y1) of a (C, H, W, N) map as a (rows, C, W, N) view."""
+    return a[:, y0:y1].transpose(1, 0, 2, 3)
+
+
+def _fill_windows(xw: np.ndarray, src: np.ndarray, r0: int, pl: int):
+    """Fill xw (m, C, tw, wc, N) from the rows r0 .. r0 + m - 1 of src
+    (C, H, W, N), shifted by j - pl columns at tap j:
+    ``xw[q, :, j, p] = src[:, r0 + q, p + j - pl]``, or zero where that lies
+    outside src."""
+    m, _, tw, wc, _ = xw.shape
+    qs, rs = _in_map(r0, src.shape[1], m)
+    xw[: qs.start] = 0
+    xw[qs.stop :] = 0
+    rows = _rows(src, rs.start, rs.stop)
+    for j in range(tw):
+        ps, cs = _in_map(j - pl, src.shape[2], wc)
+        tap = xw[qs, :, j]
+        tap[:, :, : ps.start] = 0
+        tap[:, :, ps.stop :] = 0
+        tap[:, :, ps] = rows[:, :, cs]
+
+
+def _add_windows(gx: np.ndarray, gxw: np.ndarray, r0: int, pl: int):
+    """The adjoint of ``_fill_windows``: add every in-map entry of gxw
+    (m, C, tw, wc, N) into the entry of gx (C, H, W, N) it was copied from,
+    one pass per column shift."""
+    m, _, tw, wc, _ = gxw.shape
+    qs, rs = _in_map(r0, gx.shape[1], m)
+    rows = _rows(gx, rs.start, rs.stop)
+    for j in range(tw):
+        ps, cs = _in_map(j - pl, gx.shape[2], wc)
+        rows[:, :, cs] += gxw[qs, :, j, ps]
+
+
+def _row_windows(xw: np.ndarray, rows: int, th: int) -> np.ndarray:
+    """The patch matrices of output rows 0 .. rows - 1 as one read-only
+    (rows, th*C*tw, wc*N) stack of overlapping views into xw
+    (rows + th - 1, C, tw, wc, N): row y's is the contiguous block
+    ``xw[y : y + th]``, its rows ordered (i, c, j)."""
+    _, c, tw, wc, n = xw.shape
+    return np.lib.stride_tricks.as_strided(
+        xw, (rows, th * c * tw, wc * n), (xw.strides[0], xw.strides[2], xw.itemsize), writeable=False)
+
+
+def _correlate(src: np.ndarray, kmat: np.ndarray, taps: tuple, out: np.ndarray, bias=None, which=None):
+    """Band by band, the stride-1 correlation of src (C, H, W, N) with kmat
+    (Cout, th*C*tw), ordered (i, c, j), into out (Cout, H, W, N): output row
+    y is kmat times the patch matrix of src rows y - pt .. y - pt + th - 1,
+    shifted by j - pl columns at live tap j, where taps = (th, tw, pt, pl).
+    The product is written through a strided view straight into out's rows.
+
+    With ``which``, out is (Cout, H // 2, W // 2, N): the 2*(H // 2) x
+    2*(W // 2) outputs are computed, band by band, into a full-resolution
+    band buffer and 2x2 max-pooled into out, and ``which`` gets the tap of
+    each window's first maximum. With ``bias``, bias and ReLU follow on each
+    band's rows of out. One band buffer holds a band's windows, and its
+    full-resolution rows when pooling, within ``_BAND_BYTES``."""
+    th, tw, pt, pl = taps
+    pool = which is not None
+    s = 2 if pool else 1
+    cout, rows_out, cols_out, n = out.shape
+    hc, wc, c = rows_out * s, cols_out * s, src.shape[0]
+    dtype = out.dtype
+    row_in = c * tw * wc * n * dtype.itemsize  # bytes of one row of windows
+    bands, nbytes = _bands(hc, s, (th - 1) * row_in, row_in + pool * cout * wc * n * dtype.itemsize)
+    buf = _band_buffer(nbytes)
+    for y0, y1 in bands:
+        rows = y1 - y0
+        xw, full = _carve(buf, dtype, (rows + th - 1, c, tw, wc, n), (pool * rows, cout, wc * n))
+        _fill_windows(xw, src, y0 - pt, pl)
+        band = _rows(out, y0 // s, y1 // s)
+        if not pool:
+            np.matmul(kmat, _row_windows(xw, rows, th), out=band.reshape(rows, cout, wc * n))
+        else:
+            np.matmul(kmat, _row_windows(xw, rows, th), out=full)
+            _pool2(full.reshape(rows // 2, 2, cout, wc // 2, 2, n), band, _rows(which, y0 // 2, y1 // 2))
+        if bias is not None:
+            band += bias[:, None, None]
+            np.maximum(band, 0, out=band)
+
+
+def _pool2(full: np.ndarray, out: np.ndarray, which: np.ndarray):
+    """2x2 max pooling of a (r, 2, C, w2, 2, N) band of windows into
+    ``out`` (r, C, w2, N), and into ``which`` the row-major tap 0..3 of each
     window's first maximum. A NaN tap makes its window's maximum NaN."""
-    q00, q01, q10, q11 = (full[:, :, i, :, j] for i in (0, 1) for j in (0, 1))
+    q00, q01, q10, q11 = (full[:, i, :, :, j] for i in (0, 1) for j in (0, 1))
     top = np.maximum(q00, q01)
     np.maximum(q10, q11, out=out)
     lower = np.greater(out, top)  # a tie goes to the top row
@@ -351,17 +452,17 @@ def _pool2(full: np.ndarray, out: np.ndarray, win: np.ndarray):
     right_lower ^= right
     right_lower &= lower
     right ^= right_lower  # the right tap of whichever row won
-    np.add(lower, lower, out=win, dtype=np.uint8)
-    win += right
+    np.add(lower, lower, out=which, dtype=np.uint8)
+    which += right
 
 
-def _unpool2(g: np.ndarray, win: np.ndarray, full: np.ndarray) -> np.ndarray:
-    """Route each pooled gradient of g (C, r, w2, N) to its window's winning
-    tap in ``full`` (C, r, 2, w2, 2, N) and zero the other three taps (NaN
-    where g is NaN); returns ``full`` as a (C, r*2*w2*2*N) matrix."""
+def _unpool2(g: np.ndarray, which: np.ndarray, full: np.ndarray) -> np.ndarray:
+    """Route each pooled gradient of g (r, C, w2, N) to its window's winning
+    tap in ``full`` (r, 2, C, w2, 2, N) and zero the other three taps (NaN
+    where g is NaN); returns ``full`` as (2r, C, 2*w2*N) gradient rows."""
     for q in range(4):
-        np.multiply(g, win == q, out=full[:, :, q // 2, :, q % 2])
-    return full.reshape(full.shape[0], -1)
+        np.multiply(g, which == q, out=full[:, q // 2, :, :, q % 2])
+    return full.reshape(2 * full.shape[0], full.shape[2], -1)
 
 
 def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, pool: bool = False) -> Tensor:
@@ -374,37 +475,53 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, pool: bool = False) -> Tens
     computes only the 2*(H // 2) x 2*(W // 2) outputs the pool reads. Even
     kernels pad one extra row/column on the top/left.
 
-    The batch axis runs innermost inside: the input is read as a
-    (Cin, H, W, N) array, a view when it is already stored that way (a
-    conv2d result), so each im2col tap copy and each col2im add moves
-    contiguous runs of W*N values, and the (Cout, H, W, N) result is
-    returned as an (N, Cout, H, W) view. No padded copy is made: each tap
-    copies its in-map block and zeroes the border strips that would read
-    padding, and the backward adds each tap's in-map block straight into
-    the unpadded input gradient. Kernel rows and columns that only ever see
-    padding (a kernel larger than its map) are skipped.
+    The batch axis runs innermost: the input is read as a (Cin, H, W, N)
+    array, a view when it is already stored that way (a conv2d result), and
+    the (Cout, H, W, N) result is returned as an (N, Cout, H, W) view, which
+    a flatten per sample reads as a view too. Kernel rows and columns that
+    only ever see padding (a kernel larger than its map) are skipped,
+    leaving th x tw live taps.
 
-    The im2col matrix is never built whole. The output is walked in bands
-    of whole output rows, as many as fit ``_BAND_BYTES`` of patch matrix,
-    the budget of one call on any thread, and at least one (an even number,
-    at least two, when pooling, so that bands hold whole windows). The
-    forward and the backward each allocate
-    one byte buffer that fits the largest band and build each band's matrix
-    in it over the previous band's; neither buffer outlives its pass, so
-    conv2d keeps no state between calls. The forward multiplies each band
-    straight into its rows of the output; a pooled band goes into one
+    No im2col matrix is built. The output is walked in bands of whole rows.
+    For a band of r rows, the window buffer xw (r + th - 1, Cin, tw, W, N)
+    holds the input rows the band reads as tw copies, each shifted by one
+    column, with zeroed borders where they would read padding. The patch
+    matrix of output row y, ordered (i, c, j), is then the contiguous block
+    ``xw[y : y + th]`` read as (th*Cin*tw, W*N), so one ``np.matmul`` of
+    the (Cout, th*Cin*tw) kernel matrix with a strided stack of those
+    overlapping windows writes the band straight into its output rows. The
+    input is copied tw times, not kh*kw. A pooled band goes into a
     full-resolution band buffer, is pooled from there while it is still in
     cache, and only the pooled rows and a uint8 index of each window's
     first (row-major) maximum are kept. Bias and ReLU then go on the kept
     rows: both are monotone, so adding them after the maximum gives the
-    same values on a quarter of the elements. The backward rebuilds each
-    band's matrix for its share of the kernel gradient, then overwrites it
-    with the band's patch-matrix gradient and adds that into the input
-    gradient; a pooled band first rebuilds its full-resolution gradient,
-    the pooled gradient at each winning tap and zero elsewhere, in one
-    reused band buffer. The ReLU mask is applied to the incoming gradient
-    in place, which the engine allows because each node owns its gradient
-    and drops it after its step.
+    same values on a quarter of the elements.
+
+    The backward masks the incoming gradient with the ReLU in place, which
+    the engine allows because each node owns its gradient and drops it
+    after its step. Per band, a pooled layer first rebuilds its
+    full-resolution gradient rows, the pooled gradient at each winning tap
+    and zero elsewhere. The kernel gradient is the band's rebuilt windows
+    times its gradient rows, one batched product of a (th*Cin*tw, Cout)
+    matrix per row, summed over the rows. The input gradient of an unpooled
+    layer with Cin >= Cout is the same forward correlation of the masked
+    gradient, with the kernels flipped in space and their channel axes
+    swapped, so an even kernel pads bottom/right; it writes the gradient
+    rows directly. Everywhere else the window gradients are overlap-added
+    into the window buffer in th row passes, pass i adding kernel row i's
+    block of the transposed kernel matrix times the gradient rows into
+    window rows i .. i + r - 1 (the first pass writes them), and then tw
+    column-shifted passes add the window buffer into the input gradient.
+
+    Each pass (the forward; the backward's input-gradient correlation; its
+    kernel-gradient and overlap-add pass) allocates one byte buffer for
+    everything its bands hold: the windows, the full-resolution rows of a
+    pooled band, the per-row kernel-gradient products and one kernel row's
+    window gradients. Bands take as many rows as keep it within ``_BAND_BYTES``,
+    the budget of one pass of one call on any thread, and at least one (an
+    even number, at least two, when pooling, so that bands hold whole
+    windows). No buffer outlives its pass, so conv2d keeps no state between
+    calls.
     """
     if kernels.ndim != 4:
         raise ShapeError(f"conv2d kernels must be 4-d, got {kernels.shape}")
@@ -426,83 +543,60 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, pool: bool = False) -> Tens
     s = 2 if pool else 1  # pooling stride
     hc, wc = h - h % s, w - w % s  # the outputs computed
     xt = np.ascontiguousarray(x.data.transpose(1, 2, 3, 0))
-    rows = _BAND_BYTES // (cin * th * tw * wc * n * x.dtype.itemsize)
-    rows = max(s, rows - rows % s)  # a pooled band holds whole windows
-    bands = [(y0, min(y0 + rows, hc)) for y0 in range(0, hc, rows)]
-
-    def taps(y0, y1):
-        """Per live tap (i, j) and the output rows [y0, y1): its in-map
-        output rows (counted from y0) and columns, and the input rows and
-        columns they read."""
-        for i in range(th):
-            ys, yr = _in_map(y0 + i - pt, h, y1 - y0)
-            for j in range(tw):
-                xs, xr = _in_map(j - pl, w, wc)
-                yield i, j, ys, xs, yr, xr
-
-    def im2col(buf, y0, y1):
-        cols = buf.view(x.dtype)[: cin * th * tw * (y1 - y0) * wc * n]
-        cols = cols.reshape(cin, th, tw, y1 - y0, wc, n)
-        for i, j, ys, xs, yr, xr in taps(y0, y1):
-            tap = cols[:, i, j]
-            tap[:, : ys.start] = 0
-            tap[:, ys.stop :] = 0
-            tap[:, ys, : xs.start] = 0
-            tap[:, ys, xs.stop :] = 0
-            tap[:, ys, xs] = xt[:, yr, xr]
-        return cols.reshape(cin * th * tw, (y1 - y0) * wc * n)
-
-    def windows(buf, y0, y1):
-        """The first rows of a flat band buffer as the band's 2x2 windows."""
-        return buf[: cout * (y1 - y0) * wc * n].reshape(cout, (y1 - y0) // 2, 2, wc // 2, 2, n)
-
-    kmat = kernels.data[:, :, i0:i1, j0:j1].reshape(cout, cin * th * tw)
-    dtype = np.result_type(kmat, x.data)
+    live = kernels.data[:, :, i0:i1, j0:j1]
+    dtype = np.result_type(kernels.data, x.data)
     out = np.empty((cout, hc // s, wc // s, n), dtype)
-    win = np.empty(out.shape, np.uint8) if pool else None
-    band_len = cout * min(rows, hc) * wc * n  # one full-resolution band of output
-    full = np.empty(band_len, dtype) if pool else None
-    # one band of patch matrix, in the forward's dtype or the backward's
-    cols_bytes = cin * th * tw * min(rows, hc) * wc * n * max(x.dtype.itemsize, dtype.itemsize)
-    buf = _band_buffer(cols_bytes)
-    for y0, y1 in bands:
-        band = out[:, y0 // s : y1 // s]  # a view: each channel's rows are contiguous
-        if pool:
-            prod = windows(full, y0, y1)
-            np.matmul(kmat, im2col(buf, y0, y1), out=prod.reshape(cout, -1))
-            _pool2(prod, band, win[:, y0 // 2 : y1 // 2])
-        else:
-            np.matmul(kmat, im2col(buf, y0, y1), out=band.reshape(cout, -1))
-        band = band.reshape(cout, -1)
-        band += bias.data[:, None]
-        np.maximum(band, 0, out=band)
+    which = np.empty(out.shape, np.uint8) if pool else None
+    # the kernel matrix, (i, c, j) by Cout, copied with Cout innermost: runs of tw would copy slowly
+    kmat_t = np.ascontiguousarray(live.transpose(2, 1, 3, 0)).reshape(-1, cout)
+    _correlate(xt, kmat_t.T, (th, tw, pt, pl), out, bias.data, which)
 
     def _bw(g):
         gt = g.transpose(1, 2, 3, 0)
         gt *= out > 0
-        g2 = gt.reshape(cout, -1)
-        _accumulate(bias, g2.sum(axis=1))
-        gk = 0
-        gx = np.zeros((cin, h, w, n), dtype=x.dtype) if x.requires_grad else None
-        gfull = np.empty(band_len, g2.dtype) if pool else None
-        cols = _band_buffer(cols_bytes)  # not the forward's: a node holds no band until backward
-        row = out.shape[2] * n  # g2 columns per output row
-        for y0, y1 in bands:
-            gb = g2[:, y0 // s * row : y1 // s * row]
-            if pool:
-                gb = _unpool2(gb.reshape(cout, -1, wc // 2, n), win[:, y0 // 2 : y1 // 2], windows(gfull, y0, y1))
-            if kernels.requires_grad:
-                gk = gk + gb @ im2col(cols, y0, y1).T
-            if gx is not None:
-                gcols = cols.view(g2.dtype)[: cin * th * tw * gb.shape[1]].reshape(cin * th * tw, -1)
-                gcols = np.matmul(kmat.T, gb, out=gcols).reshape(cin, th, tw, y1 - y0, wc, n)
-                for i, j, ys, xs, yr, xr in taps(y0, y1):
-                    gx[:, yr, xr] += gcols[:, i, j, ys, xs]
-        if kernels.requires_grad:
-            gk = gk.reshape(cout, cin, th, tw)
-            if (th, tw) != (kh, kw):
-                gk = np.pad(gk, ((0, 0), (0, 0), (i0, kh - i1), (j0, kw - j1)))
-            _accumulate(kernels, gk, owned=True)
+        gt = np.ascontiguousarray(gt)  # a view when g is a conv2d input gradient
+        _accumulate(bias, gt.reshape(cout, -1).sum(axis=1))
+        overlap = x.requires_grad and (pool or cin < cout)
+        gx = None
+        if x.requires_grad and not overlap:
+            flipped = np.ascontiguousarray(live[:, :, ::-1, ::-1].transpose(2, 0, 3, 1)).reshape(-1, cin)
+            gx = np.empty((cin, h, w, n), dtype)
+            _correlate(gt, flipped.T, (th, tw, th - 1 - pt, tw - 1 - pl), gx)
+        if kernels.requires_grad or overlap:
+            grad_k, klen, isz = kernels.requires_grad, th * cin * tw, dtype.itemsize
+            row_in = cin * tw * wc * n * isz  # bytes of one row of windows, or of window gradients
+            per_row = row_in * (1 + overlap) + isz * cout * (wc * n * pool + klen * grad_k)
+            bands, nbytes = _bands(hc, s, (th - 1) * row_in, per_row)
+            buf = _band_buffer(nbytes)
+            gk = np.zeros((klen, cout), dtype)
+            if overlap:
+                gx = np.zeros((cin, h, w, n), dtype)
+                krows = np.ascontiguousarray(live.transpose(2, 1, 3, 0)).reshape(th, cin * tw, cout)
+            for y0, y1 in bands:
+                rows = y1 - y0
+                xw, gfull, part, gwin = _carve(
+                    buf, dtype, (rows + th - 1, cin, tw, wc, n), (rows * pool, cout, wc * n),
+                    (rows * grad_k, klen, cout), (rows * overlap, cin, tw, wc, n))
+                if pool:
+                    full = gfull.reshape(rows // 2, 2, cout, wc // 2, 2, n)
+                    gb = _unpool2(_rows(gt, y0 // 2, y1 // 2), _rows(which, y0 // 2, y1 // 2), full)
+                else:
+                    gb = _rows(gt, y0, y1).reshape(rows, cout, wc * n)
+                if grad_k:
+                    _fill_windows(xw, xt, y0 - pt, pl)
+                    np.matmul(_row_windows(xw, rows, th), gb.transpose(0, 2, 1), out=part)
+                    gk += part.sum(axis=0)
+                if overlap:  # the windows are spent: their buffer takes the window gradients
+                    np.matmul(krows[0], gb, out=xw[:rows].reshape(rows, cin * tw, wc * n))
+                    xw[rows:] = 0
+                    for i in range(1, th):
+                        np.matmul(krows[i], gb, out=gwin.reshape(rows, cin * tw, wc * n))
+                        xw[i : i + rows] += gwin
+                    _add_windows(gx, xw, y0 - pt, pl)
+            if grad_k:
+                full_k = np.zeros(kernels.shape, dtype)
+                full_k[:, :, i0:i1, j0:j1] = gk.reshape(th, cin, tw, cout).transpose(3, 1, 0, 2)
+                _accumulate(kernels, full_k, owned=True)
         if gx is not None:
             _accumulate(x, gx.transpose(3, 0, 1, 2), owned=True)
 

@@ -65,11 +65,13 @@ class TestGenerateData:
                      "--n", "4", "--profile", "planetary"]) == 2
         capsys.readouterr()
 
-    @pytest.mark.parametrize("noise", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("noise", ["-1", "nan", "inf", "1e39", "3e38"])
     def test_bad_noise_exits_2(self, tmp_path, capsys, noise):
+        """Also a finite noise whose draws would overflow float32 pixels to
+        infinity, which used to write them with a cast warning."""
         assert main(["generate-data", "--out", str(tmp_path / "d"), "--seed", "1",
-                     "--n", "4", "--noise", noise]) == 2
-        assert "noise" in capsys.readouterr().err
+                     "--n", "5", "--noise", noise]) == 2
+        assert_one_error_line(capsys.readouterr().err, "noise")
         assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize("split", ["nan,0.5,0.5", "1,1,1", "0.5,0.5"])
@@ -393,6 +395,15 @@ class TestGradcheckCommand:
         captured = capsys.readouterr()
         assert_one_error_line(captured.err, field)
         assert captured.out == ""
+
+    def test_package_runs_as_a_module(self):
+        """``python -m mrscene`` is the CLI, without an installed script."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "mrscene", "gradcheck", "--step", "0"],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr
+        assert_one_error_line(proc.stderr, "step")
 
     def test_failing_check_exits_one(self, capsys, monkeypatch):
         import mrscene.gradcheck as gc

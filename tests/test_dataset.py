@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from mrscene.dataset import (
+    MAX_NOISE,
     DatasetManifest,
     Sample,
     dataset_signatures,
@@ -211,9 +212,16 @@ class TestGenerator:
             generate_synthetic(tmp_path / "d", seed=0, n_samples=1, profile="huge")
         with pytest.raises(ConfigError):
             generate_synthetic(tmp_path / "d", seed=0, n_samples=1, profile="tiny", n_classes=99)
-        for noise in (-1.0, float("nan"), float("inf")):
+        for noise in (-1.0, float("nan"), float("inf"), np.nextafter(MAX_NOISE, np.inf)):
             with pytest.raises(UsageError):
                 generate_synthetic(tmp_path / "d", seed=0, n_samples=1, noise=noise)
+
+    def test_largest_noise_writes_finite_pixels(self, tmp_path):
+        manifest = generate_synthetic(tmp_path / "d", seed=3, n_samples=4, profile="bigearthnet-shaped",
+                                      noise=MAX_NOISE)
+        for split in manifest.splits:
+            for sample in load_split(manifest, split, tmp_path / "d"):
+                assert all(np.isfinite(a).all() for a in sample.subsets)
 
     def test_unknown_split(self, tmp_path):
         manifest = generate_synthetic(tmp_path / "d", seed=0, n_samples=2)

@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mrscene import tensor as T
 from mrscene.errors import ShapeError, UsageError
@@ -69,6 +71,23 @@ def naive_conv_grads(x, k, b, g):
             gpre.sum(axis=(0, 2, 3)))
 
 
+def sliding_window_grads(x, k, gpre):
+    """Float64 gradients of sum(gpre * naive_conv(x, k, b)) for x, k and b,
+    one output pixel and one tap at a time."""
+    n, cin, h, w = x.shape
+    cout, _, kh, kw = k.shape
+    gx, gk = np.zeros(x.shape), np.zeros(k.shape)
+    for y in range(h):
+        for xx in range(w):
+            for i in range(kh):
+                for j in range(kw):
+                    r, c = y + i - kh // 2, xx + j - kw // 2
+                    if 0 <= r < h and 0 <= c < w:
+                        gx[:, :, r, c] += gpre[:, :, y, xx] @ k[:, :, i, j]
+                        gk[:, :, i, j] += gpre[:, :, y, xx].T @ x[:, :, r, c]
+    return gx, gk, gpre.sum(axis=(0, 2, 3))
+
+
 def batch_innermost(a):
     """The same NCHW values backed by (C, H, W, N) memory."""
     return np.ascontiguousarray(a.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
@@ -85,6 +104,18 @@ def record_band_buffers(monkeypatch) -> list:
     requests, band_buffer = [], T._band_buffer
     monkeypatch.setattr(T, "_band_buffer", lambda n: requests.append(n) or band_buffer(n))
     return requests
+
+
+def band_bytes(rows, c, cout, n, k, wc, itemsize, pool=False, grad_k=False, overlap=False):
+    """The band buffer of one conv2d pass for a band of ``rows`` output rows
+    of a k x k kernel, all taps live, over c input channels and wc computed
+    columns: the windows (rows + k - 1 rows of k column-shifted copies of
+    c * wc * N values), plus per row the full-resolution output or gradient
+    row of a pooled layer, the kernel-gradient product (k*c*k x Cout) and
+    one kernel row's window gradients (one row of windows)."""
+    row = c * k * wc * n
+    extra = cout * wc * n * pool + cout * k * c * k * grad_k + row * overlap
+    return itemsize * ((rows + k - 1) * row + rows * extra)
 
 
 def first_max_mask(x):
@@ -230,22 +261,25 @@ class TestConv2d:
     def test_kernel_larger_than_map_matches_sliding_window(self, kh, kw, h, w, monkeypatch):
         """Output and all three gradients match the sliding window in
         float64 and float32, from an NCHW-contiguous input and from a
-        conv2d-output view, with every patch-matrix band buffer full of NaN
-        bytes when allocated, in the forward and in the backward: every tap
-        border that would read padding is zeroed, never left stale."""
+        conv2d-output view, with every band buffer full of NaN bytes when
+        allocated, in the forward and in the backward, whose input gradient
+        is overlap-added (Cin < Cout) or a flipped-kernel correlation
+        (Cin >= Cout): every window border that would read padding is
+        zeroed, never left stale."""
         rng = RNG(9)
-        x0, k0, b0 = rng.normal(size=(3, 2, h, w)), rng.normal(size=(4, 2, kh, kw)), rng.normal(size=4)
-        g0 = rng.normal(size=(3, 4, h, w))
-        want = [np.maximum(naive_conv(x0, k0, b0), 0), *naive_conv_grads(x0, k0, b0, g0)]
         monkeypatch.setattr(T, "_band_buffer", nan_band_buffer)
-        for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-5)):
-            for layout in (np.ascontiguousarray, batch_innermost):
-                x = T.Tensor(layout(x0.astype(dtype)), requires_grad=True)
-                k, b = (T.Tensor(a.astype(dtype), requires_grad=True) for a in (k0, b0))
-                out = T.conv2d(x, k, b)
-                weighted_sum(out, T.Tensor(g0.astype(dtype))).backward()
-                for got, expected in zip((out.data, x.grad, k.grad, b.grad), want):
-                    np.testing.assert_allclose(got, expected, rtol=tol, atol=tol)
+        for cin, cout in ((2, 4), (4, 2)):
+            x0, k0, b0 = rng.normal(size=(3, cin, h, w)), rng.normal(size=(cout, cin, kh, kw)), rng.normal(size=cout)
+            g0 = rng.normal(size=(3, cout, h, w))
+            want = [np.maximum(naive_conv(x0, k0, b0), 0), *naive_conv_grads(x0, k0, b0, g0)]
+            for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-5)):
+                for layout in (np.ascontiguousarray, batch_innermost):
+                    x = T.Tensor(layout(x0.astype(dtype)), requires_grad=True)
+                    k, b = (T.Tensor(a.astype(dtype), requires_grad=True) for a in (k0, b0))
+                    out = T.conv2d(x, k, b)
+                    weighted_sum(out, T.Tensor(g0.astype(dtype))).backward()
+                    for got, expected in zip((out.data, x.grad, k.grad, b.grad), want):
+                        np.testing.assert_allclose(got, expected, rtol=tol, atol=tol)
 
     def test_input_memory_layout_does_not_change_results(self):
         rng = RNG(10)
@@ -304,6 +338,56 @@ class TestConv2d:
                 assert not np.shares_memory(a, other)
 
 
+@st.composite
+def conv_cases(draw):
+    """(N, Cin, H, W, Cout, kh, kw, pool), a band budget of a few rows, the
+    input's memory order and a data seed: kernels up to 6x6 on maps down to
+    1x1 (2x2 when pooled), so kernels larger than the map, even kernels,
+    odd pooled maps and both Cin >= Cout and Cin < Cout are all drawn."""
+    pool = draw(st.booleans())
+    dims = [draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1 + pool, 7)),
+            draw(st.integers(1 + pool, 7)), draw(st.integers(1, 4)), draw(st.integers(1, 6)), draw(st.integers(1, 6))]
+    return (*dims, pool, draw(st.integers(1, 1 << 16)), draw(st.permutations(range(4))), draw(st.integers(0, 2 ** 32 - 1)))
+
+
+class TestConv2dOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(conv_cases())
+    @example((2, 3, 5, 4, 2, 4, 2, False, 1, [0, 1, 2, 3], 0))  # Cin >= Cout, even kernel, one-row bands
+    @example((3, 2, 5, 5, 3, 6, 3, True, 1, [2, 1, 3, 0], 1))  # odd pooled map, kernel taller than it
+    @example((1, 4, 2, 3, 4, 5, 4, False, 1 << 16, [3, 0, 1, 2], 2))  # kernel larger than the map
+    def test_matches_float64_sliding_window(self, case):
+        """Output and all three gradients of conv2d, pooled or not, match a
+        float64 sliding-window loop for any shape, band budget and input
+        memory order, with every band buffer full of NaN bytes when
+        allocated."""
+        n, cin, h, w, cout, kh, kw, pool, budget, order, seed = case
+        rng = RNG(seed)
+        x0, k0, b0 = rng.normal(size=(n, cin, h, w)), rng.normal(size=(cout, cin, kh, kw)), rng.normal(size=cout)
+        g0 = rng.normal(size=(n, cout, h // 2, w // 2) if pool else (n, cout, h, w))
+        pre = naive_conv(x0, k0, b0)
+        act = np.maximum(pre, 0)
+        if pool:
+            h2, w2 = h // 2, w // 2
+            want_out = act[:, :, : 2 * h2, : 2 * w2].reshape(n, cout, h2, 2, w2, 2).max(axis=(3, 5))
+            gpost = np.zeros(act.shape)
+            gpost[:, :, : 2 * h2, : 2 * w2] = g0.repeat(2, axis=2).repeat(2, axis=3)
+            gpost *= first_max_mask(act)
+        else:
+            want_out, gpost = act, g0
+        want = [want_out, *sliding_window_grads(x0, k0, gpost * (pre > 0))]
+        layout = np.ascontiguousarray(x0.transpose(order)).transpose(np.argsort(order))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(T, "_BAND_BYTES", budget)
+            mp.setattr(T, "_band_buffer", nan_band_buffer)
+            x = T.Tensor(layout, requires_grad=True)
+            k, b = T.Tensor(k0, requires_grad=True), T.Tensor(b0, requires_grad=True)
+            out = T.conv2d(x, k, b, pool=pool)
+            weighted_sum(out, T.Tensor(g0)).backward()
+        for got, expected in zip((out.data, x.grad, k.grad, b.grad), want):
+            np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-10)
+
+
 class TestConv2dOneRowBands(TestConv2d):
     """Every TestConv2d case again with a band budget of one byte, so conv2d
     walks its output one row per band: taps straddle band edges, and a 5x5
@@ -314,35 +398,52 @@ class TestConv2dOneRowBands(TestConv2d):
         monkeypatch.setattr(T, "_BAND_BYTES", 1)
 
     def test_uneven_bands_match_sliding_window(self, monkeypatch):
-        """Bands of 2 and of 3 rows leave a shorter last band on a 7-row map."""
+        """Bands of 2 and of 3 rows leave a shorter last band on a 7-row map,
+        in the forward and in each backward pass: the kernel-gradient pass
+        with the overlap-add of the input gradient (Cin < Cout), and the
+        flipped-kernel correlation (Cin >= Cout). Each budget is exactly one
+        pass's band buffer of that many rows, and that pass asks for it."""
         rng = RNG(15)
-        x0, k0, b0 = rng.normal(size=(2, 2, 7, 5)), rng.normal(size=(3, 2, 5, 5)) * 0.3, rng.normal(size=3)
-        g0 = rng.normal(size=(2, 3, 7, 5))
-        want = [np.maximum(naive_conv(x0, k0, b0), 0), *naive_conv_grads(x0, k0, b0, g0)]
-        one_row = 2 * 25 * 5 * 2 * 8  # Cin*kh*kw*W*N float64 patch-matrix values
-        for rows in (2, 3):
-            monkeypatch.setattr(T, "_BAND_BYTES", rows * one_row)
-            x, k, b = (T.Tensor(a, requires_grad=True) for a in (x0, k0, b0))
-            out = T.conv2d(x, k, b)
-            weighted_sum(out, T.Tensor(g0)).backward()
-            for got, expected in zip((out.data, x.grad, k.grad, b.grad), want):
-                np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+        requests = record_band_buffers(monkeypatch)
+        for cin, cout in ((2, 3), (3, 2)):
+            x0, k0, b0 = rng.normal(size=(2, cin, 7, 5)), rng.normal(size=(cout, cin, 5, 5)) * 0.3, rng.normal(size=cout)
+            g0 = rng.normal(size=(2, cout, 7, 5))
+            want = [np.maximum(naive_conv(x0, k0, b0), 0), *naive_conv_grads(x0, k0, b0, g0)]
+            passes = [functools.partial(band_bytes, c=cin, cout=cout, n=2, k=5, wc=5, itemsize=8)]  # the forward
+            if cin < cout:  # the kernel gradient and the overlap-add
+                passes.append(functools.partial(passes[0], grad_k=True, overlap=True))
+            else:  # the flipped-kernel correlation, then the kernel gradient
+                passes += [functools.partial(band_bytes, c=cout, cout=cin, n=2, k=5, wc=5, itemsize=8),
+                           functools.partial(passes[0], grad_k=True)]
+            for pass_bytes in passes:
+                for rows in (2, 3):
+                    monkeypatch.setattr(T, "_BAND_BYTES", pass_bytes(rows))
+                    requests.clear()
+                    x, k, b = (T.Tensor(a, requires_grad=True) for a in (x0, k0, b0))
+                    out = T.conv2d(x, k, b)
+                    weighted_sum(out, T.Tensor(g0)).backward()
+                    assert pass_bytes(rows) in requests and len(requests) == len(passes)
+                    for got, expected in zip((out.data, x.grad, k.grad, b.grad), want):
+                        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
 
 
 class TestScratchBuffer:
-    """conv2d's patch-matrix band buffers: one per forward and one per
-    backward, of the largest band's size, kept by no call after it ends."""
+    """conv2d's band buffers: one per pass (the forward; in the backward the
+    flipped-kernel correlation of an unpooled layer with Cin >= Cout, and
+    the kernel-gradient and overlap-add pass), each of its largest band's
+    size, kept by no call after it ends."""
 
     @staticmethod
-    def conv_case(rng, n, cin, cout, size, k, dtype=np.float32):
+    def conv_case(rng, n, cin, cout, size, k, dtype=np.float32, pool=False):
+        out = size // 2 if pool else size
         return tuple(a.astype(dtype) for a in (
             rng.normal(size=(n, cin, size, size)), rng.normal(size=(cout, cin, k, k)) * 0.3,
-            rng.normal(size=cout) * 0.1, rng.normal(size=(n, cout, size, size))))
+            rng.normal(size=cout) * 0.1, rng.normal(size=(n, cout, out, out))))
 
     @staticmethod
-    def forward(case):
+    def forward(case, pool=False):
         x, k, b = (T.Tensor(a.copy(), requires_grad=True) for a in case[:3])
-        out = T.conv2d(x, k, b)
+        out = T.conv2d(x, k, b, pool=pool)
         return out, weighted_sum(out, T.Tensor(case[3])), (x, k, b)
 
     def test_interleaved_convs_match_each_run_alone(self, monkeypatch):
@@ -364,7 +465,9 @@ class TestScratchBuffer:
         for case in cases:  # every forward before any backward
             runs.append(self.forward(case))
             if case is larger:
-                assert requests[-1] == 8 * 25 * 12 * 12 * 4 * 4  # its im2col matrix
+                # its windows, one band of 12 rows and 4 halo rows, 5 shifted
+                # copies each: a fifth of the 25 copies of its im2col matrix
+                assert requests[-1] == band_bytes(12, 8, 8, 4, 5, 12, 4) == 16 * 8 * 5 * 12 * 4 * 4
         for out, loss, _ in runs:
             loss.backward()
         for (out, _, leaves), want in zip(runs, alone):
@@ -374,9 +477,11 @@ class TestScratchBuffer:
 
     def test_backward_keeps_no_im2col_matrix(self):
         """The traced peak of a forward and backward through two 5x5 convs
-        stays below the activations plus one im2col matrix (25 activations
-        here) plus slack for backward temporaries: the closures do not keep
-        their matrices, which would add 25 more."""
+        stays below the activations plus one pass's band buffer (20 rows of
+        windows, 6.25 activations, and the kernel-gradient products, 3.1)
+        plus slack for backward temporaries: the closures do not keep their
+        band buffers, which would add 6.25 activations each, nor is any
+        im2col matrix (25 activations) built."""
         rng = RNG(14)
         case = self.conv_case(rng, 4, 8, 8, 16, 5)
         act = case[0].nbytes
@@ -390,31 +495,36 @@ class TestScratchBuffer:
         finally:
             tracemalloc.stop()
         assert x.grad is not None and k1.grad is not None
-        cols = 25 * act
-        assert peak < 3 * act + cols + 20 * act
+        assert band_bytes(16, 8, 8, 4, 5, 16, 4, grad_k=True) == 9.375 * act
+        assert peak < 3 * act + 9.375 * act + 10 * act
 
     def test_threads_running_convs_at_once_match_serial_runs(self):
-        """Two threads each run 30 forward and backward passes of their own
-        conv at once while the interpreter switches threads as often as it
-        can; every output and gradient is bit-equal to a serial run's. A
-        buffer shared between calls would let one thread's band overwrite
-        the other's."""
+        """Two threads each run 30 rounds of forward and backward passes of
+        their own three convs at once while the interpreter switches threads
+        as often as it can: an unpooled and a pooled conv whose input
+        gradient is overlap-added (Cin < Cout), and one whose input gradient
+        is the flipped-kernel correlation (Cin >= Cout). Every output and
+        gradient is bit-equal to a serial run's. A buffer shared between
+        calls would let one thread's band overwrite the other's."""
         rng = RNG(17)
-        cases = [self.conv_case(rng, 64, 8, 16, 12, 3) for _ in range(2)]
+        layers = [(8, 16, False), (8, 16, True), (16, 8, False)]  # (Cin, Cout, pool)
+        cases = [[(self.conv_case(rng, 64, cin, cout, 12, 3, pool=pool), pool) for cin, cout, pool in layers]
+                 for _ in range(2)]
 
-        def run(case):
-            out, loss, leaves = self.forward(case)
+        def run(case, pool):
+            out, loss, leaves = self.forward(case, pool)
             loss.backward()
             return [out.data] + [leaf.grad for leaf in leaves]
 
-        serial = [run(case) for case in cases]
+        serial = [[run(*case) for case in own] for own in cases]
         start = threading.Barrier(2)
         done = [[], []]
 
         def worker(t):
             start.wait()
             for _ in range(30):
-                done[t].append(all(np.array_equal(a, b) for a, b in zip(run(cases[t]), serial[t])))
+                done[t].append(all(np.array_equal(a, b) for case, want in zip(cases[t], serial[t])
+                                   for a, b in zip(run(*case), want)))
 
         threads = [threading.Thread(target=worker, args=(t,)) for t in range(2)]
         interval = sys.getswitchinterval()
@@ -423,21 +533,21 @@ class TestScratchBuffer:
             for thread in threads:
                 thread.start()
             for thread in threads:
-                thread.join()
+                thread.join(120)
         finally:
             sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
         assert done == [[True] * 30] * 2
 
     def test_no_memory_outlives_a_call(self):
-        """After a forward and backward whose single output row's patch
-        matrix is larger than the band budget, and once the results and
-        gradients are dropped, traced memory is back where it started, to
-        within a few hundred bytes: no band buffer is kept for the next
-        call."""
+        """After a forward and backward whose smallest band's window buffer
+        is larger than the band budget, and once the results and gradients
+        are dropped, traced memory is back where it started, to within a few
+        hundred bytes: no band buffer is kept for the next call."""
         rng = RNG(18)
         self.forward(self.conv_case(rng, 2, 16, 4, 9, 9, np.float64))[1].backward()  # warm-up
         case = self.conv_case(rng, 128, 16, 4, 9, 9, np.float64)
-        assert 16 * 81 * 9 * 128 * 8 > T._BAND_BYTES  # one output row's patch matrix
+        assert band_bytes(1, 16, 4, 128, 9, 9, 8) > T._BAND_BYTES  # one output row and 8 halo rows
         leaves = [T.Tensor(a.copy(), requires_grad=True) for a in case[:3]]
         g = T.Tensor(case[3])
         tracemalloc.start()
@@ -454,18 +564,33 @@ class TestScratchBuffer:
 
     @pytest.mark.parametrize("n", [128, 256])
     def test_first_bigearthnet_layer_keeps_scratch_within_one_band(self, n, monkeypatch):
-        """The 10 m branch's first layer (5x5, 4->32, 30x30 patches; N = 128
-        is batch 8) would need a 46 MB patch matrix at N = 128 and 92 MB at
-        256; the forward's and the backward's band buffers each stay within
-        the band budget, or one output row's matrix where that is larger."""
+        """The 10 m branch's first layer (5x5, 4->32, pooled, 30x30 patches;
+        N = 128 is batch 8) would need a 46 MB patch matrix at N = 128 and
+        92 MB at 256. Its forward's band buffer, windows and full-resolution
+        rows together, and its backward's, which adds the kernel-gradient
+        products and the window gradients, each stay within the band budget,
+        or the smallest band's (two rows) where that is larger; so the
+        forward's traced peak is the input copy, the pooled output and its
+        argmax index, one band buffer of two rows, and the pooling's
+        temporaries of one pooled row: a float maximum and three bool masks."""
         rng = RNG(16)
-        case = self.conv_case(rng, n, 4, 32, 30, 5)
+        case = self.conv_case(rng, n, 4, 32, 30, 5, pool=True)
         requests = record_band_buffers(monkeypatch)
-        out, loss, leaves = self.forward(case)
-        loss.backward()
-        assert all(leaf.grad is not None for leaf in leaves)
-        one_row = 4 * 25 * 30 * n * 4
-        assert len(requests) == 2 and all(0 < r <= max(T._BAND_BYTES, one_row) for r in requests)
+        x, k, b = (T.Tensor(a.copy(), requires_grad=True) for a in case[:3])
+        tracemalloc.start()
+        try:
+            out = T.conv2d(x, k, b, pool=True)
+            forward_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        weighted_sum(out, T.Tensor(case[3])).backward()
+        assert all(leaf.grad is not None for leaf in (x, k, b))
+        floors = [band_bytes(2, 4, 32, n, 5, 30, 4, pool=True),
+                  band_bytes(2, 4, 32, n, 5, 30, 4, pool=True, grad_k=True, overlap=True)]
+        assert len(requests) == 2 and all(0 < r <= max(T._BAND_BYTES, f) for r, f in zip(requests, floors))
+        assert requests[0] == floors[0] and (floors[0] <= T._BAND_BYTES) == (n == 128)
+        pool_temporaries = 32 * 15 * n * (4 + 3)
+        assert forward_peak <= x.data.nbytes + out.data.nbytes * 5 // 4 + requests[0] + pool_temporaries + (1 << 17)
 
 
 class TestPooledConv2d:
@@ -523,14 +648,15 @@ class TestPooledConv2dTwoRowBands(TestPooledConv2d):
     @pytest.mark.parametrize("rows,band", [(3, 2), (5, 4), (7, 6)])
     def test_odd_budgets_round_down_to_whole_windows(self, rows, band, monkeypatch):
         """A budget of an odd number of rows runs bands of one row fewer,
-        with a shorter last band where 14 computed rows do not divide."""
+        with a shorter last band where 14 computed rows do not divide: the
+        forward's band buffer, windows and full-resolution rows, is that of
+        the even band."""
         (x0, k0, b0, g0), want = pooled_case("15x15")
-        one_row = 1 * 9 * 14 * 1 * 8  # Cin*kh*kw*(computed W)*N float64 patch-matrix values
-        monkeypatch.setattr(T, "_BAND_BYTES", rows * one_row)
+        monkeypatch.setattr(T, "_BAND_BYTES", band_bytes(rows, 1, 2, 1, 3, 14, 8, pool=True))
         requests = record_band_buffers(monkeypatch)
         x, k, b = (T.Tensor(a, requires_grad=True) for a in (x0, k0, b0))
         out = T.conv2d(x, k, b, pool=True)
-        assert requests == [band * one_row]
+        assert requests == [band_bytes(band, 1, 2, 1, 3, 14, 8, pool=True)]
         weighted_sum(out, T.Tensor(g0)).backward()
         for got, expected in zip((out.data, x.grad, k.grad, b.grad), want):
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
@@ -858,16 +984,16 @@ class TestRunShards:
 
     def test_a_shard_gets_the_band_buffer_of_an_unsharded_call(self, monkeypatch):
         """The band budget belongs to one conv2d call, wherever it runs: a
-        one-sample conv2d asks for the same 8-row band buffer in each shard
+        one-sample conv2d asks for the same 4-row band buffer in each shard
         as on the caller outside run_shards."""
         x, k, b = RNG(0).normal(size=(2, 3, 8, 5)), RNG(1).normal(size=(4, 3, 3, 3)), np.zeros(4)
-        one_row = 3 * 9 * 5 * 8  # patch-matrix bytes of one output row of one float64 sample
-        monkeypatch.setattr(T, "_BAND_BYTES", 8 * one_row)
+        four_rows = band_bytes(4, 3, 4, 1, 3, 5, 8)  # windows of 4 output rows of one float64 sample
+        monkeypatch.setattr(T, "_BAND_BYTES", four_rows)
         requests = record_band_buffers(monkeypatch)
         conv = lambda lo, hi: T.conv2d(T.Tensor(x[lo:hi]), T.Tensor(k), T.Tensor(b)).data  # noqa: E731
         whole = np.concatenate([conv(0, 1), conv(1, 2)])
         shards = T.run_shards(conv, 2, self.BIG)
-        assert requests == [8 * one_row] * 4  # one band buffer per forward, outside and inside
+        assert requests == [four_rows] * 4  # one band buffer per forward, outside and inside
         np.testing.assert_allclose(np.concatenate(shards), whole, rtol=1e-12, atol=0)
 
     def test_a_shard_that_shards_again_runs_whole(self):
