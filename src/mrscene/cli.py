@@ -183,7 +183,7 @@ def cmd_attn_dump(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    reports = gradcheck_mod.run_all(seed=args.seed, step=args.step)
+    reports = gradcheck_mod.run_all(seed=args.seed)
     for report in reports:
         print(report.format())
     ok = all(r.passed for r in reports)
@@ -216,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--lr", dest="learning_rate", type=float, default=None)
     p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--optimizer", choices=("adam", "sgd"), default=None)
     p.add_argument("--threshold", type=float, default=None, help="decision threshold, stored in the model")
     p.add_argument("--checkpoint-every", dest="checkpoint_every", type=int, default=None)
     p.set_defaults(func=cmd_train)
@@ -240,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference verification of all gradients")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--step", type=float, default=gradcheck_mod.DEFAULT_STEP)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser

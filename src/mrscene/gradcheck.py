@@ -13,7 +13,6 @@ gradient; the end-to-end check redraws its random parameter nudge when
 every failure it sees is of that kind.
 """
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -26,29 +25,29 @@ DEFAULT_TOLERANCE = 1e-4
 MAX_REDRAWS = 3
 
 
-def _nudged_values(f, tensor, step: float) -> tuple:
-    """f() with each element of tensor in turn raised by step and lowered
-    by step: two float64 arrays of tensor's shape."""
+def _nudged_values(f, tensor) -> tuple:
+    """f() with each element of tensor in turn raised and lowered by
+    DEFAULT_STEP: two float64 arrays of tensor's shape."""
     hi, lo = np.empty(tensor.shape), np.empty(tensor.shape)
     flat = tensor.data.reshape(-1)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + step
+        flat[i] = orig + DEFAULT_STEP
         hi.flat[i] = f()
-        flat[i] = orig - step
+        flat[i] = orig - DEFAULT_STEP
         lo.flat[i] = f()
         flat[i] = orig
     return hi, lo
 
 
-def numeric_gradient(f, tensor, step: float = DEFAULT_STEP) -> np.ndarray:
+def numeric_gradient(f, tensor) -> np.ndarray:
     """Central finite differences of scalar f() w.r.t. every element of tensor.
 
     ``f`` must re-run the forward computation from ``tensor.data`` on each
     call and return a float.
     """
-    hi, lo = _nudged_values(f, tensor, step)
-    return ((hi - lo) / (2.0 * step)).astype(tensor.dtype)
+    hi, lo = _nudged_values(f, tensor)
+    return ((hi - lo) / (2.0 * DEFAULT_STEP)).astype(tensor.dtype)
 
 
 def _element_errors(analytic, numeric) -> np.ndarray:
@@ -102,7 +101,7 @@ class GradcheckReport:
         return "\n".join(lines)
 
 
-def check_parameters(loss_fn, params: dict, step: float = DEFAULT_STEP, label: str = "") -> GradcheckReport:
+def check_parameters(loss_fn, params: dict, label: str = "") -> GradcheckReport:
     """Compare backward() gradients of loss_fn against central differences.
 
     ``loss_fn`` rebuilds the forward graph from the current parameter values
@@ -121,14 +120,14 @@ def check_parameters(loss_fn, params: dict, step: float = DEFAULT_STEP, label: s
     report = GradcheckReport(label=label)
     scalar = lambda: loss_fn().item()
     for name, p in params.items():
-        hi, lo = _nudged_values(scalar, p, step)
-        numeric = (hi - lo) / (2.0 * step)
+        hi, lo = _nudged_values(scalar, p)
+        numeric = (hi - lo) / (2.0 * DEFAULT_STEP)
         errors = _element_errors(analytic[name], numeric)
         # The central difference lies half the one-sided differences'
-        # disagreement from either. A kink within step of the point leaves
+        # disagreement from either. A kink within one step of the point leaves
         # the analytic gradient on one of them, so its error is that half;
         # an error no more than twice it is taken to be a kink's.
-        kink = np.abs((hi - centre) - (centre - lo)) / step >= np.abs(analytic[name] - numeric)
+        kink = np.abs((hi - centre) - (centre - lo)) / DEFAULT_STEP >= np.abs(analytic[name] - numeric)
         unexplained = int(np.count_nonzero((errors >= DEFAULT_TOLERANCE) & ~kink))
         report.entries.append(GradcheckEntry(name, float(errors.max(initial=0.0)), p.size, unexplained))
     report.seconds = time.perf_counter() - t0
@@ -186,7 +185,7 @@ def _random_model_inputs(config, rng, batch: int = 2):
     return arrays, targets
 
 
-def check_model_gradients(seed: int = 0, step: float = DEFAULT_STEP) -> GradcheckReport:
+def check_model_gradients(seed: int = 0) -> GradcheckReport:
     """Full-loss finite differences over every parameter of the shrunken
     model, with its parameter nudge redrawn (``check_with_redraws``) while
     every failure straddles a kink."""
@@ -211,12 +210,12 @@ def check_model_gradients(seed: int = 0, step: float = DEFAULT_STEP) -> Gradchec
     def sweep(draw):
         model = nudged_model(np.random.default_rng([seed, draw])) if draw else first
         return check_parameters(lambda: bce_with_logits_loss(model.forward(arrays).scores, targets),
-                                model.parameters, step=step, label="end-to-end")
+                                model.parameters, label="end-to-end")
 
     return check_with_redraws(sweep)
 
 
-def check_module_gradients(seed: int = 0, step: float = DEFAULT_STEP) -> list:
+def check_module_gradients(seed: int = 0) -> list:
     """Small dedicated checks, one per differentiable building block."""
     from . import tensor as T
     from .attention import attention_scores, pool_descriptors
@@ -243,8 +242,7 @@ def check_module_gradients(seed: int = 0, step: float = DEFAULT_STEP) -> list:
     reports.append(check_parameters(
         lambda: weighted(T.conv2d(x, k, b), wc) + weighted(T.conv2d(xs, ks, bs), ws),
         {"input": x, "kernels": k, "bias": b,
-         "input (1x2 map)": xs, "kernels (1x2 map)": ks, "bias (1x2 map)": bs},
-        step=step, label="conv2d"))
+         "input (1x2 map)": xs, "kernels (1x2 map)": ks, "bias (1x2 map)": bs}, label="conv2d"))
 
     # the pooled epilogue on an odd map, whose trailing row and column are dropped
     xp = Tensor(rng.normal(size=(2, 2, 7, 5)), requires_grad=True)
@@ -253,15 +251,14 @@ def check_module_gradients(seed: int = 0, step: float = DEFAULT_STEP) -> list:
     wp = Tensor(rng.normal(size=(2, 3, 3, 2)))
     reports.append(check_parameters(
         lambda: weighted(T.conv2d(xp, kp, bp, pool=True), wp), {"input": xp, "kernels": kp, "bias": bp},
-        step=step, label="maxpool2"))
+        label="maxpool2"))
 
     xf = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     wf = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
     bf = Tensor(rng.normal(size=2), requires_grad=True)
     wfc = Tensor(rng.normal(size=(3, 2)))
     reports.append(check_parameters(
-        lambda: weighted(T.fc(xf, wf, bf), wfc), {"input": xf, "weight": wf, "bias": bf},
-        step=step, label="fc"))
+        lambda: weighted(T.fc(xf, wf, bf), wfc), {"input": xf, "weight": wf, "bias": bf}, label="fc"))
 
     cell_params = ParameterSet(seed, np.float64)
     cell = make_lstm_params(3, 4, cell_params, "cell")
@@ -287,7 +284,7 @@ def check_module_gradients(seed: int = 0, step: float = DEFAULT_STEP) -> list:
         return (weighted(h, wh) + weighted(c, wcell) + weighted(lstm_sequence(xseq, seq), wfwd)
                 + weighted(lstm_sequence(xseq, seq, reverse=True), wrev))
 
-    reports.append(check_parameters(lstm_loss, cell_params, step=step, label="lstm_cell"))
+    reports.append(check_parameters(lstm_loss, cell_params, label="lstm_cell"))
 
     omega = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
     w1 = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
@@ -295,21 +292,19 @@ def check_module_gradients(seed: int = 0, step: float = DEFAULT_STEP) -> list:
     wa = Tensor(rng.normal(size=(5, 2)))
     reports.append(check_parameters(
         lambda: weighted(pool_descriptors(omega, attention_scores(omega, w1, w2)), wa),
-        {"descriptors": omega, "w_hidden": w1, "w_heads": w2}, step=step, label="attention"))
+        {"descriptors": omega, "w_hidden": w1, "w_heads": w2}, label="attention"))
 
     z = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
     y = (rng.uniform(size=(2, 4)) < 0.5).astype(np.float64)
     reports.append(check_parameters(
-        lambda: bce_with_logits_loss(z, y), {"scores": z}, step=step, label="loss"))
+        lambda: bce_with_logits_loss(z, y), {"scores": z}, label="loss"))
 
     return reports
 
 
-def run_all(seed: int = 0, step: float = DEFAULT_STEP) -> list:
+def run_all(seed: int = 0) -> list:
     """Module checks followed by the end-to-end sweep."""
     if seed < 0:
         raise UsageError(f"seed must be >= 0, got {seed}")
-    if not (math.isfinite(step) and step > 0):
-        raise UsageError(f"step must be a finite number > 0, got {step}")
-    return check_module_gradients(seed, step) + [check_model_gradients(seed, step)]
+    return check_module_gradients(seed) + [check_model_gradients(seed)]
 

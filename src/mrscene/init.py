@@ -44,7 +44,12 @@ class ParameterSet(dict):
         self.dtype = dtype
 
     def new(self, name: str, shape) -> Tensor:
+        """A new Xavier-initialized tensor of ``shape``; ConfigError for a
+        taken name or a shape too large to allocate."""
         if name in self:
             raise ConfigError(f"duplicate parameter name {name!r}")
-        self[name] = xavier_init(shape, self.seed, name, self.dtype)
+        try:
+            self[name] = xavier_init(shape, self.seed, name, self.dtype)
+        except (MemoryError, ValueError) as exc:  # numpy refuses a shape past its size limit with ValueError
+            raise ConfigError(f"parameter {name!r} of shape {tuple(shape)} cannot be allocated: {exc}") from exc
         return self[name]

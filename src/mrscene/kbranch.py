@@ -64,7 +64,7 @@ class BranchSpec:
         return trace
 
 
-def default_branch_specs(band_groups, fc_out: int = 128) -> list:
+def default_branch_specs(band_groups) -> list:
     """Standard schedules: 5x5-then-3x3 with two pools for the highest
     resolution, 3x3 with one pool in between, 2x2 without pooling for the
     lowest resolution."""
@@ -79,7 +79,7 @@ def default_branch_specs(band_groups, fc_out: int = 128) -> list:
         else:
             kernels, pools = (3, 3, 3, 3), (True, False, False, False)
         layers = [ConvLayerSpec(ks, f, p) for ks, f, p in zip(kernels, filters, pools)]
-        specs.append(BranchSpec(band_indices=list(bands), layers=layers, fc_out=fc_out))
+        specs.append(BranchSpec(band_indices=list(bands), layers=layers))
     return specs
 
 

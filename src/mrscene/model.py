@@ -9,7 +9,7 @@ import numpy as np
 from . import tensor as T
 from .attention import attention_scores, pool_descriptors
 from .birnn import bidirectional_sequence, make_lstm_params
-from .errors import ConfigError, ShapeError, UsageError, config_kwargs, require_types, shape_triples
+from .errors import ConfigError, ShapeError, UsageError, config_kwargs, drop_legacy, require_types, shape_triples
 from .head import check_threshold, classify, posteriors
 from .init import ParameterSet
 from .kbranch import (
@@ -109,11 +109,8 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, payload) -> "ModelConfig":
-        if isinstance(payload, dict) and "per_position_lstm" in payload:
-            # older checkpoints echo this former field as false; each LSTM direction has one weight set
-            if payload["per_position_lstm"] is not False:
-                raise ConfigError("per_position_lstm must be false: each LSTM direction has one weight set")
-            payload = {key: value for key, value in payload.items() if key != "per_position_lstm"}
+        # older checkpoints echo per_position_lstm as false; each LSTM direction has one weight set
+        payload = drop_legacy("model", payload, "per_position_lstm", False)
         return cls(**config_kwargs("model", cls, payload, {
             "subset_shapes": shape_triples,
             "branches": _branches_from_dict,

@@ -1,4 +1,4 @@
-"""End-to-end training: optimizers, epoch loop, loss log, evaluation."""
+"""End-to-end training: the Adam optimizer, epoch loop, loss log, evaluation."""
 
 import math
 from dataclasses import asdict, dataclass, field
@@ -8,14 +8,13 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import replacing, write_checkpoint
-from .errors import ConfigError, TrainingDivergedError, config_kwargs, require_types
+from .errors import ConfigError, TrainingDivergedError, config_kwargs, drop_legacy, require_types
 from .head import bce_with_logits_loss, predict
 from .metrics import MetricsReport, aggregate
 from .model import Model
 
 __all__ = [
-    "TrainConfig", "TrainResult", "Adam", "Sgd", "make_optimizer",
-    "train", "evaluate_model", "moving_average",
+    "TrainConfig", "TrainResult", "Adam", "train", "evaluate_model", "moving_average",
 ]
 
 
@@ -24,7 +23,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     epochs: int = 100
     batch_size: int = 32
-    optimizer: str = "adam"
     seed: int = 0
     checkpoint_every: int = 0  # 0 = final checkpoint only
     shuffle: bool = True
@@ -41,14 +39,14 @@ class TrainConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.checkpoint_every < 0:
             raise ConfigError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ConfigError(f"optimizer must be adam or sgd, got {self.optimizer!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, payload) -> "TrainConfig":
+        # older config files name the optimizer, which is always Adam
+        payload = drop_legacy("train", payload, "optimizer", "adam")
         return cls(**config_kwargs("train", cls, payload))
 
 
@@ -117,37 +115,6 @@ class Adam:
                 self.v[key[len("adam.v."):]] = value.copy()
 
 
-class Sgd:
-    """Plain gradient descent."""
-
-    def __init__(self, learning_rate: float):
-        self.learning_rate = learning_rate
-        self.step_count = 0
-
-    @np.errstate(over="ignore", invalid="ignore")
-    def step(self, parameters: dict):
-        self.step_count += 1
-        for name, p in parameters.items():
-            if p.grad is None:
-                raise RuntimeError(f"parameter {name!r} has no gradient")
-            p.data -= self.learning_rate * p.grad
-
-    def state_entries(self) -> dict:
-        return {"sgd.step": np.array([self.step_count], dtype=np.float32)}
-
-    def load_state_entries(self, entries: dict):
-        step = entries.get("sgd.step")
-        self.step_count = int(np.asarray(step).reshape(-1)[0]) if step is not None else 0
-
-
-def make_optimizer(kind: str, learning_rate: float):
-    if kind == "adam":
-        return Adam(learning_rate)
-    if kind == "sgd":
-        return Sgd(learning_rate)
-    raise ConfigError(f"unknown optimizer {kind!r}")
-
-
 @dataclass
 class TrainResult:
     loss_trajectory: list = field(default_factory=list)
@@ -177,7 +144,7 @@ def train(model: Model, samples, cfg: TrainConfig, out_dir=None, run_config: dic
     cfg.validate()
     if not samples:
         raise ConfigError("training needs at least one sample")
-    optimizer = make_optimizer(cfg.optimizer, cfg.learning_rate)
+    optimizer = Adam(cfg.learning_rate)
     result = TrainResult()
     echo = dict(run_config or {})
     echo.setdefault("model", model.config.to_dict())

@@ -165,16 +165,30 @@ class TestTrain:
         ({"train": {"threshold": 0.3}}, "threshold"),
         ({"modle": {}}, "modle"),
         ({"model": {"per_position_lstm": True}}, "per_position_lstm"),
+        *(({"train": {"optimizer": value}}, "train.optimizer") for value in ("sgd", True, 1, None)),
+        # 10**12 x 128 float64 values (1 PiB) exceed the address space; 10**19 exceeds numpy's largest dimension
+        *(({"model": {"hidden_width": width}}, f"of shape ({width}, 128) cannot be allocated")
+          for width in (10**12, 10**19)),
     ])
     def test_config_file_field_of_wrong_type_exits_2(self, workspace, tmp_path, capsys, payload, field):
+        """Each payload exits 2 with one error line naming what is at fault."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(payload))
         out = tmp_path / "o"
         assert main(["train", "--data", str(workspace["data"]), "--out", str(out),
                      "--config", str(cfg)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and field in err
+        assert_one_error_line(capsys.readouterr().err, field)
         assert not out.exists()
+
+    def test_config_file_with_the_former_optimizer_field_trains(self, workspace, tmp_path, capsys):
+        """Older config files name the optimizer, which is always Adam;
+        the field is dropped, so the echo does not carry it."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train": {"optimizer": "adam"}}))
+        assert main(["train", "--data", str(workspace["data"]), "--out", str(tmp_path / "o"),
+                     "--config", str(cfg), "--epochs", "1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and "optimizer" not in captured.out
 
     def test_threshold_is_stored_in_the_model_and_used_by_evaluate(self, workspace, tmp_path, capsys):
         from mrscene.checkpoint import read_checkpoint
@@ -312,22 +326,39 @@ class TestEvaluatePredictAttn:
         assert main(["evaluate", "--data", str(workspace["data"]), "--checkpoint", str(bad)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("per_position,code", [(False, 0), (True, 2)])
-    def test_checkpoint_echo_of_per_position_lstm(self, workspace, tmp_path, capsys, per_position, code):
-        """Older checkpoints echo the former field "per_position_lstm":
-        false and still load; true is refused."""
+    @staticmethod
+    def with_model_echo(workspace, path, **fields) -> Path:
+        """The shared checkpoint, written to ``path`` with ``fields`` set
+        in its model config echo."""
         from mrscene.checkpoint import read_checkpoint
 
         stored = read_checkpoint(workspace["checkpoint"]).config
-        assert "per_position_lstm" not in stored["model"]
         old_echo = json.dumps(stored, sort_keys=True, separators=(",", ":")).encode()
-        echo = json.dumps({**stored, "model": {**stored["model"], "per_position_lstm": per_position}},
-                          sort_keys=True, separators=(",", ":")).encode()
-        ckpt = tmp_path / "echo.mac"
-        ckpt.write_bytes(workspace["checkpoint"].read_bytes()[: -4 - len(old_echo)]
+        echo = json.dumps({**stored, "model": {**stored["model"], **fields}}).encode()
+        path.write_bytes(workspace["checkpoint"].read_bytes()[: -4 - len(old_echo)]
                          + struct.pack("<I", len(echo)) + echo)
+        return path
+
+    @pytest.mark.parametrize("per_position,code", [(False, 0), (True, 2), (0, 2)])
+    def test_checkpoint_echo_of_per_position_lstm(self, workspace, tmp_path, capsys, per_position, code):
+        """Older checkpoints echo the former field "per_position_lstm":
+        false and still load; true, or 0 in place of false, is refused."""
+        from mrscene.checkpoint import read_checkpoint
+
+        assert "per_position_lstm" not in read_checkpoint(workspace["checkpoint"]).config["model"]
+        ckpt = self.with_model_echo(workspace, tmp_path / "echo.mac", per_position_lstm=per_position)
         assert main(["evaluate", "--data", str(workspace["data"]), "--checkpoint", str(ckpt)]) == code
         assert ("per_position_lstm" in capsys.readouterr().err) == bool(code)
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict", "attn-dump"])
+    @pytest.mark.parametrize("width", [10**12, 10**19])
+    def test_checkpoint_echo_of_a_model_too_large_to_allocate_exits_2(self, workspace, tmp_path, capsys,
+                                                                       command, width):
+        ckpt = self.with_model_echo(workspace, tmp_path / "huge.mac", hidden_width=width)
+        assert main([command, "--data", str(workspace["data"]), "--checkpoint", str(ckpt)]) == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured.err, f"of shape ({width}, 128) cannot be allocated")
+        assert captured.out == ""
 
     @pytest.mark.parametrize("command,field,value", [
         ("evaluate", "splits", 5), ("evaluate", "splits", {"test": 5}), ("evaluate", "class_names", "abc"),
@@ -386,10 +417,7 @@ class TestGradcheckCommand:
         assert "gradcheck [end-to-end]: PASS" in out and "redraws 1," in out
         assert "overall: PASS" in out
 
-    @pytest.mark.parametrize("flags,field", [
-        (["--step", "0"], "step"), (["--step=-1e-5"], "step"), (["--step", "nan"], "step"),
-        (["--step", "inf"], "step"), (["--seed", "-1"], "seed"),
-    ])
+    @pytest.mark.parametrize("flags,field", [(["--seed", "-1"], "seed")])
     def test_invalid_flag_exits_2(self, capsys, flags, field):
         assert main(["gradcheck"] + flags) == 2
         captured = capsys.readouterr()
@@ -400,16 +428,16 @@ class TestGradcheckCommand:
         """``python -m mrscene`` is the CLI, without an installed script."""
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-m", "mrscene", "gradcheck", "--step", "0"],
+        proc = subprocess.run([sys.executable, "-m", "mrscene", "gradcheck", "--seed", "-1"],
                               env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 2 and "Traceback" not in proc.stderr
-        assert_one_error_line(proc.stderr, "step")
+        assert_one_error_line(proc.stderr, "seed")
 
     def test_failing_check_exits_one(self, capsys, monkeypatch):
         import mrscene.gradcheck as gc
         from mrscene.gradcheck import GradcheckEntry, GradcheckReport
 
-        def fake_run_all(seed=0, step=1e-5):
+        def fake_run_all(seed=0):
             report = GradcheckReport(label="end-to-end")
             report.entries.append(GradcheckEntry("classifier.weight", 0.5, 10))
             return [report]
@@ -417,3 +445,29 @@ class TestGradcheckCommand:
         monkeypatch.setattr(gc, "run_all", fake_run_all)
         assert main(["gradcheck"]) == 1
         assert "overall: FAIL" in capsys.readouterr().out
+
+
+class TestFlags:
+    @pytest.mark.parametrize("argv,flag", [
+        (["train", "--data", "d", "--out", "o", "--optimizer", "adam"], "--optimizer"),
+        (["gradcheck", "--step", "1e-5"], "--step"),
+    ])
+    def test_removed_flag_is_a_usage_error(self, capsys, argv, flag):
+        """Adam is the only optimizer and the gradient check's step is fixed."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and flag in err and "Traceback" not in err
+
+    def test_train_flags_are_the_train_config_fields(self):
+        """``_resolve_configs`` copies each train flag into the TrainConfig
+        field of its destination's name."""
+        from dataclasses import fields
+
+        from mrscene.cli import build_parser
+        from mrscene.trainer import TrainConfig
+
+        (subcommands,) = [a for a in build_parser()._actions if a.choices and "train" in a.choices]
+        dests = {a.dest for a in subcommands.choices["train"]._actions} - {"help"}
+        assert dests - {"data", "out", "config", "threshold"} == {f.name for f in fields(TrainConfig)} - {"shuffle"}

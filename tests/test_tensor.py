@@ -18,14 +18,14 @@ from mrscene.gradcheck import numeric_gradient, relative_error
 RNG = np.random.default_rng
 
 
-def fd_check(loss_builder, leaves, step=1e-5, tol=1e-4):
+def fd_check(loss_builder, leaves, tol=1e-4):
     """Backward gradients of the scalar loss vs central differences."""
     for leaf in leaves:
         leaf.zero_grad()
     loss = loss_builder()
     loss.backward()
     for leaf in leaves:
-        numeric = numeric_gradient(lambda: loss_builder().item(), leaf, step)
+        numeric = numeric_gradient(lambda: loss_builder().item(), leaf)
         analytic = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
         assert relative_error(analytic, numeric) < tol
 
