@@ -20,7 +20,6 @@ from .dataset import DatasetManifest, generate_synthetic, load_split
 from .errors import ConfigError, MrsceneError, TrainingDivergedError, UsageError, json_object
 from .head import check_threshold, predict
 from .model import Model, ModelConfig
-from .tensor import no_grad
 from .trainer import TrainConfig, evaluate_model, train
 
 
@@ -93,17 +92,6 @@ def _format_echo(echo: dict) -> str:
     return "config: " + json.dumps(echo, sort_keys=True)
 
 
-def _model_from_checkpoint(checkpoint_path, manifest: DatasetManifest):
-    data = read_checkpoint(checkpoint_path)
-    if "model" not in data.config:
-        raise ConfigError(f"{checkpoint_path}: checkpoint carries no model config echo")
-    model_cfg = _model_config(data.config["model"], manifest, f"checkpoint {checkpoint_path}",
-                              strict_filters=False)
-    model = Model(model_cfg, seed=0)
-    load_parameters(model, data.params)
-    return model, data
-
-
 def cmd_generate_data(args) -> int:
     manifest = generate_synthetic(
         args.out, seed=args.seed, n_samples=args.n, profile=args.profile,
@@ -134,13 +122,26 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
+def _load_checkpoint_run(args):
+    """What evaluate, predict and attn-dump read: the dataset manifest, the
+    checkpoint's model and config echo, the samples of ``--split`` and the
+    decision threshold, ``--threshold`` or else the one the model stores."""
     manifest = _load_manifest(args.data)
-    model, data = _model_from_checkpoint(args.checkpoint, manifest)
-    threshold = model.config.threshold if args.threshold is None else check_threshold(args.threshold)
-    samples = _load_samples(manifest, args.split, args.data)
+    data = read_checkpoint(args.checkpoint)
+    if "model" not in data.config:
+        raise ConfigError(f"{args.checkpoint}: checkpoint carries no model config echo")
+    model = Model(_model_config(data.config["model"], manifest, f"checkpoint {args.checkpoint}",
+                                strict_filters=False), seed=0)
+    load_parameters(model, data.params)
+    threshold = getattr(args, "threshold", None)  # attn-dump has no --threshold
+    threshold = model.config.threshold if threshold is None else check_threshold(threshold)
+    return manifest, model, data.config, _load_samples(manifest, args.split, args.data), threshold
+
+
+def cmd_evaluate(args) -> int:
+    _, model, echo, samples, threshold = _load_checkpoint_run(args)
     report = evaluate_model(model, samples, threshold=threshold, batch_size=args.batch_size)
-    print(_format_echo(data.config))
+    print(_format_echo(echo))
     print(f"split: {args.split}  threshold: {threshold}")
     print(report.format())
     print(report.key_value_block())
@@ -148,37 +149,26 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    manifest = _load_manifest(args.data)
-    model, data = _model_from_checkpoint(args.checkpoint, manifest)
-    threshold = model.config.threshold if args.threshold is None else check_threshold(args.threshold)
-    samples = _load_samples(manifest, args.split, args.data)
-    probs = model.predict_probabilities(samples, args.batch_size)
-    print(_format_echo(data.config))
-    for sample, chosen in zip(samples, predict(probs, threshold)):
-        names = [manifest.class_names[j] for j in np.flatnonzero(chosen)]
+    manifest, model, echo, samples, threshold = _load_checkpoint_run(args)
+    chosen = predict(model.predict_probabilities(samples, args.batch_size), threshold)
+    print(_format_echo(echo))
+    for sample, row in zip(samples, chosen):
+        names = [manifest.class_names[j] for j in np.flatnonzero(row)]
         print(f"{sample.id}\t{', '.join(names) if names else '<none>'}")
     return 0
 
 
 def cmd_attn_dump(args) -> int:
-    if args.batch_size < 1:
-        raise UsageError(f"batch_size must be >= 1, got {args.batch_size}")
     if args.limit < 0:
         raise UsageError(f"limit must be >= 0, got {args.limit}")
-    manifest = _load_manifest(args.data)
-    model, data = _model_from_checkpoint(args.checkpoint, manifest)
-    samples = _load_samples(manifest, args.split, args.data)
-    if args.limit:
-        samples = samples[: args.limit]
-    print(_format_echo(data.config))
-    for start in range(0, len(samples), args.batch_size):
-        batch = samples[start : start + args.batch_size]
-        with no_grad():
-            attn = model.forward_samples(batch).attention.data
-        for i, sample in enumerate(batch):
-            print(f"sample {sample.id} attention ({attn.shape[1]} scores x {attn.shape[2]} patches):")
-            for row in attn[i]:
-                print("  " + " ".join(f"{v:.6f}" for v in row))
+    _, model, echo, samples, _ = _load_checkpoint_run(args)
+    samples = samples[: args.limit or None]
+    attn = model.infer(samples, args.batch_size).attention.data
+    print(_format_echo(echo))
+    for sample, table in zip(samples, attn):
+        print(f"sample {sample.id} attention ({attn.shape[1]} scores x {attn.shape[2]} patches):")
+        for row in table:
+            print("  " + " ".join(f"{v:.6f}" for v in row))
     return 0
 
 

@@ -30,6 +30,7 @@ from .errors import (
     ManifestMismatchError,
     UsageError,
     config_kwargs,
+    drop_legacy,
     json_object,
     require_types,
     shape_triples,
@@ -89,10 +90,7 @@ class DatasetManifest:
         manifest = cls(**config_kwargs("manifest", cls, fields, {"subset_shapes": shape_triples}, FormatError))
         require_types("manifest", manifest, FormatError)
         # older writers stored n_subsets; nothing reads it, but it must not contradict subset_shapes
-        n_subsets = len(manifest.subset_shapes)
-        if payload.get("n_subsets", n_subsets) != n_subsets:
-            raise FormatError(f"manifest field n_subsets = {payload['n_subsets']!r} does not match "
-                              f"the {n_subsets} subset_shapes")
+        drop_legacy("manifest", payload, "n_subsets", len(manifest.subset_shapes), FormatError)
         names, splits = manifest.class_names, manifest.splits
         if not _strings(names) or len(names) != manifest.n_classes:
             raise FormatError(f"manifest field class_names must list n_classes strings, got {names!r}")

@@ -138,16 +138,16 @@ def config_kwargs(section: str, cls, payload, decoders: dict = None, error=Confi
     return kwargs
 
 
-def drop_legacy(section: str, payload, key: str, value):
+def drop_legacy(section: str, payload, key: str, value, error=ConfigError):
     """``payload`` without ``key`` when it holds ``value``, the one value
     the former field ``key`` may still carry in older files. The match is
-    strict on type, so ``0`` is not ``false``; any other value raises
-    ConfigError naming ``section.key``."""
+    strict on type, so ``0`` is not ``false`` and ``3.0`` is not ``3``; any
+    other value raises ``error`` naming ``section.key``."""
     if not isinstance(payload, dict) or key not in payload:
         return payload
     found = payload[key]
     if type(found) is not type(value) or found != value:
-        raise ConfigError(f"{section}.{key} is a former field that may only be {json.dumps(value)}, got {found!r}")
+        raise error(f"{section}.{key} is a former field that may only be {json.dumps(value)}, got {found!r}")
     return {k: v for k, v in payload.items() if k != key}
 
 

@@ -55,5 +55,4 @@ def check_threshold(threshold: float) -> float:
 def predict(probs, threshold: float) -> np.ndarray:
     """Binary label vector: 1 where probability >= threshold."""
     check_threshold(threshold)
-    p = probs.data if isinstance(probs, Tensor) else np.asarray(probs)
-    return (p >= threshold).astype(np.uint8)
+    return (np.asarray(probs) >= threshold).astype(np.uint8)

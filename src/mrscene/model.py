@@ -1,6 +1,5 @@
 """Full network assembly and configuration."""
 
-import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -137,7 +136,8 @@ class ForwardResult:
 
 
 class Model:
-    """Parameter container plus the end-to-end forward pass."""
+    """Parameter container, the end-to-end forward pass and the sharded
+    no-grad inference loop (``infer``) over lists of samples."""
 
     def __init__(self, config: ModelConfig, seed: int = 0, dtype=np.float32):
         self.config = config
@@ -201,19 +201,24 @@ class Model:
         ]
         return self.forward(arrays)
 
-    def predict_probabilities(self, samples, batch_size: int = 32) -> np.ndarray:
-        """Posterior matrix (n_samples, C), computed in fixed-size batches
-        with no graph. A batch of large samples runs as two data-parallel
-        shards on two threads (``tensor.run_shards``)."""
+    def infer(self, samples, batch_size: int = 32) -> ForwardResult:
+        """Scores and attention of every sample, computed in fixed-size
+        batches with no graph: the one inference loop. A batch of large
+        samples runs as two data-parallel shards on two threads
+        (``tensor.run_shards``)."""
         if batch_size < 1:
             raise UsageError(f"batch_size must be >= 1, got {batch_size}")
+        if not samples:
+            raise UsageError("no samples to infer from: the sample list is empty")
         parts = []
         with T.no_grad():
             for start in range(0, len(samples), batch_size):
                 batch = samples[start : start + batch_size]
-                parts += T.run_shards(functools.partial(self._probabilities, batch), len(batch),
+                parts += T.run_shards(lambda lo, hi: self.forward_samples(batch[lo:hi]), len(batch),
                                       self.config.sample_values)
-        return np.concatenate(parts, axis=0)
+            return ForwardResult(Tensor(np.concatenate([p.scores.data for p in parts])),
+                                 Tensor(np.concatenate([p.attention.data for p in parts])))
 
-    def _probabilities(self, batch, lo: int, hi: int) -> np.ndarray:
-        return self.forward_samples(batch[lo:hi]).probabilities.data
+    def predict_probabilities(self, samples, batch_size: int = 32) -> np.ndarray:
+        """Posterior matrix (n_samples, C) of ``infer``."""
+        return self.infer(samples, batch_size).probabilities.data

@@ -253,6 +253,39 @@ class TestEvaluatePredictAttn:
             total = sum(float(v) for v in row.split())
             assert abs(total - 1.0) < 1e-5
 
+    def test_attn_dump_runs_sharded_batches_and_prints_their_tables(self, tmp_path, capsys, monkeypatch):
+        """BigEarthNet-shaped batches of 4 and 2 run as two shards each, and
+        the tables are those of an unsharded forward of each batch."""
+        from mrscene import tensor as T
+        from mrscene.checkpoint import write_checkpoint
+        from mrscene.dataset import DatasetManifest, load_split
+        from mrscene.model import Model, ModelConfig
+
+        data = tmp_path / "big"
+        assert main(["generate-data", "--out", str(data), "--seed", "3", "--n", "6",
+                     "--profile", "bigearthnet-shaped", "--classes", "4", "--split", "0,0,1"]) == 0
+        manifest = DatasetManifest.load(data / "manifest.json")
+        model = Model(ModelConfig(n_classes=4, subset_shapes=manifest.subset_shapes), seed=5)
+        ckpt = tmp_path / "big.mac"
+        write_checkpoint(ckpt, model.parameters, {}, 0, {"model": model.config.to_dict()})
+        capsys.readouterr()
+        monkeypatch.setattr(T, "_usable_cpus", lambda: 2)
+        shards = []
+        run_shards = T.run_shards
+        monkeypatch.setattr(T, "run_shards", lambda *a: shards.append(run_shards(*a)) or shards[-1])
+        assert main(["attn-dump", "--data", str(data), "--checkpoint", str(ckpt), "--batch-size", "4"]) == 0
+        assert [len(s) for s in shards] == [2, 2]
+        out = capsys.readouterr().out.splitlines()[1:]
+        samples = load_split(manifest, "test", data)
+        for start in (0, 4):
+            with T.no_grad():
+                attn = model.forward_samples(samples[start : start + 4]).attention.data
+            for sample, table in zip(samples[start : start + 4], attn):
+                assert out.pop(0) == f"sample {sample.id} attention (4 scores x 16 patches):"
+                printed = [[float(v) for v in out.pop(0).split()] for _ in table]
+                np.testing.assert_allclose(printed, table, rtol=0, atol=1e-6)
+        assert out == []
+
     @pytest.mark.parametrize("command", ["evaluate", "predict", "attn-dump"])
     def test_zero_batch_size_exits_2(self, workspace, capsys, command):
         assert main([command, "--data", str(workspace["data"]),
@@ -380,9 +413,10 @@ class TestEvaluatePredictAttn:
         assert_one_error_line(captured.err, "limit")
         assert captured.out == ""
 
-    @pytest.mark.parametrize("n_subsets,code", [(3, 0), (7, 2)])
+    @pytest.mark.parametrize("n_subsets,code", [(3, 0), (7, 2), (3.0, 2), (True, 2)])
     def test_manifest_with_legacy_n_subsets(self, workspace, tmp_path, capsys, n_subsets, code):
-        """Older manifests carry n_subsets: one that matches subset_shapes loads, another is refused."""
+        """Older manifests carry n_subsets: the integer count of subset_shapes
+        loads; another count, or a non-integer, is refused."""
         data = tmp_path / "data"
         shutil.copytree(workspace["data"], data)
         manifest = json.loads((data / "manifest.json").read_text())

@@ -257,6 +257,15 @@ class TestGenerator:
             with pytest.raises(FormatError, match="n_subsets"):
                 DatasetManifest.from_json(json.dumps({**payload, "n_subsets": wrong}))
 
+    @pytest.mark.parametrize("shapes,n_subsets", [([[2, 4, 4]] * 3, 3.0), ([[2, 4, 4]], True)])
+    def test_legacy_n_subsets_is_type_strict(self, shapes, n_subsets):
+        """A count equal to the number of subset_shapes but not an integer
+        (3.0, or true for 1) is refused, as every former field is."""
+        payload = {"subset_shapes": shapes, "n_classes": 1, "class_names": ["a"], "splits": {}}
+        DatasetManifest.from_json(json.dumps({**payload, "n_subsets": len(shapes)}))  # the integer loads
+        with pytest.raises(FormatError, match="manifest.n_subsets"):
+            DatasetManifest.from_json(json.dumps({**payload, "n_subsets": n_subsets}))
+
 
 class TestSeparability:
     def test_noise_free_patch_means_recover_labels(self, tmp_path):

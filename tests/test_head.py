@@ -146,6 +146,3 @@ class TestPredict:
         for bad in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(ConfigError):
                 predict(np.array([0.5]), bad)
-
-    def test_accepts_tensor_input(self):
-        np.testing.assert_array_equal(predict(Tensor(np.array([0.6, 0.4])), 0.5), [1, 0])

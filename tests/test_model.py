@@ -18,6 +18,7 @@ from mrscene.init import ParameterSet, xavier_init
 from mrscene.kbranch import BranchSpec, ConvLayerSpec, branch_forward, fuse_descriptors, split_patches
 from mrscene.model import Model, ModelConfig
 from mrscene.tensor import Tensor, run_shards
+from mrscene.trainer import evaluate_model
 
 
 def small_config() -> ModelConfig:
@@ -409,6 +410,25 @@ class TestPredictProbabilities:
         model, samples = self.tiny_model_and_samples(2)
         with pytest.raises(UsageError):
             model.predict_probabilities(samples, batch_size=0)
+
+    def test_empty_sample_list_is_a_usage_error(self):
+        """Not numpy's error from concatenating no batches."""
+        model, _ = self.tiny_model_and_samples(0)
+        for infer in (model.predict_probabilities, lambda samples: evaluate_model(model, samples)):
+            with pytest.raises(UsageError, match="sample list is empty"):
+                infer([])
+
+    def test_infer_matches_one_forward_of_all_samples(self):
+        """Scores and attention of every sample, in order, whatever the batch size."""
+        model, samples = self.tiny_model_and_samples(7)
+        result = model.infer(samples, batch_size=3)
+        assert result.scores.shape == (7, 8) and result.attention.shape == (7, 4, 16)
+        assert not result.scores.requires_grad
+        with T.no_grad():
+            whole = model.forward_samples(samples)
+        np.testing.assert_allclose(result.scores.data, whole.scores.data, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(result.attention.data, whole.attention.data, rtol=0, atol=1e-6)
+        np.testing.assert_array_equal(model.predict_probabilities(samples, 3), result.probabilities.data)
 
 
 class TestIndependentReference:
