@@ -237,6 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for dest in ("data", "out", "checkpoint", "config"):  # "" would be the working directory
+            if getattr(args, dest, None) == "":
+                raise UsageError(f"--{dest} must name a path, got an empty string")
         return args.func(args)
     except TrainingDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -176,48 +176,35 @@ def _coerce(value, dtype) -> Tensor:
     return Tensor(np.asarray(value, dtype=dtype))
 
 
-# {leaf: stand-in} collecting the leaf gradients of the running shard
+# {leaf: gradient array} collecting the leaf gradients of the running shard
 _sink = contextvars.ContextVar("grad_sink", default=None)
 
 
-def _grad_home(t: Tensor) -> Tensor:
-    """The tensor whose ``.grad`` collects t's gradient: t itself, or,
-    inside a shard of ``run_shards``, a leaf's stand-in in the shard's
-    gradient sink, so that the two shards never add into one parameter's
-    gradient at once."""
-    sink = _sink.get()
-    if sink is None or t._parents:
-        return t
-    home = sink.get(t)
-    if home is None:
-        home = sink[t] = Tensor(t.data, requires_grad=True)
-    return home
-
-
-def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False):
-    """Add g into t's gradient. An ``owned`` g is a fresh array of t's shape
-    that nothing else holds: when t has no gradient yet and g has t's dtype,
-    g becomes t.grad itself, with no zeroed copy."""
+def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False, index=None):
+    """Add g into t's gradient, or with ``index`` into its entries at
+    t.data[index] only, with no full-size temporary. Inside a shard of
+    ``run_shards`` a leaf's gradient goes to the shard's sink instead of
+    ``.grad``, so that the two shards never add into one parameter's
+    gradient at once. An ``owned`` g is a fresh array of t's shape that
+    nothing else holds: when t has no gradient yet and g has t's dtype, g
+    becomes the gradient itself, with no zeroed copy."""
     if not t.requires_grad:
         return
-    t = _grad_home(t)
-    if t.grad is None and owned and g.dtype == t.dtype:
-        t.grad = g
-        return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
-
-
-def _accumulate_at(t: Tensor, index, g: np.ndarray):
-    """Add g into t's gradient at t.data[index] only, with no full-size
-    temporary."""
-    if not t.requires_grad:
-        return
-    t = _grad_home(t)
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad[index] += g
+    sink = None if t._parents else _sink.get()
+    grad = t.grad if sink is None else sink.get(t)
+    if grad is None and owned and g.dtype == t.dtype:
+        grad = g
+    else:
+        if grad is None:
+            grad = np.zeros_like(t.data)
+        if index is None:
+            grad += g
+        else:
+            grad[index] += g
+    if sink is None:
+        t.grad = grad
+    else:
+        sink[t] = grad
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -338,22 +325,24 @@ def _band_buffer(nbytes: int) -> np.ndarray:
     return np.empty(nbytes, np.uint8)
 
 
-def _bands(hc: int, s: int, fixed: int, per_row: int) -> tuple:
-    """Bands [y0, y1) over hc output rows, each of as many rows as keep
-    ``fixed + rows * per_row`` bytes within ``_BAND_BYTES``, a multiple of
-    s and at least s; and the bytes that the largest band needs."""
-    rows = min(hc, max(s, (_BAND_BYTES - fixed) // per_row // s * s))
-    return [(y0, min(y0 + rows, hc)) for y0 in range(0, hc, rows)], fixed + rows * per_row
-
-
-def _carve(buf: np.ndarray, dtype, *shapes) -> list:
-    """Arrays of the given shapes laid end to end in the byte buffer buf."""
-    views, at = [], 0
-    for shape in shapes:
-        size = math.prod(shape) * dtype.itemsize
-        views.append(buf[at : at + size].view(dtype).reshape(shape))
-        at += size
-    return views
+def _bands(hc: int, s: int, dtype, shapes):
+    """Bands over hc output rows as (y0, y1, views): the arrays of the band
+    [y0, y1), of the shapes that ``shapes(rows)`` gives for a band of that
+    many rows, laid end to end in one byte buffer, allocated once for the
+    largest band. Bands take as many rows as keep that band's arrays
+    within ``_BAND_BYTES``, a multiple of s and at least s."""
+    nbytes = lambda rows: sum(math.prod(shape) for shape in shapes(rows)) * dtype.itemsize
+    fixed = nbytes(0)
+    rows = min(hc, max(s, (_BAND_BYTES - fixed) // (nbytes(1) - fixed) // s * s))
+    buf = _band_buffer(nbytes(rows))
+    for y0 in range(0, hc, rows):
+        y1 = min(y0 + rows, hc)
+        views, at = [], 0
+        for shape in shapes(y1 - y0):
+            size = math.prod(shape) * dtype.itemsize
+            views.append(buf[at : at + size].view(dtype).reshape(shape))
+            at += size
+        yield y0, y1, views
 
 
 def _rows(a: np.ndarray, y0: int, y1: int) -> np.ndarray:
@@ -419,13 +408,9 @@ def _correlate(src: np.ndarray, kmat: np.ndarray, taps: tuple, out: np.ndarray, 
     s = 2 if pool else 1
     cout, rows_out, cols_out, n = out.shape
     hc, wc, c = rows_out * s, cols_out * s, src.shape[0]
-    dtype = out.dtype
-    row_in = c * tw * wc * n * dtype.itemsize  # bytes of one row of windows
-    bands, nbytes = _bands(hc, s, (th - 1) * row_in, row_in + pool * cout * wc * n * dtype.itemsize)
-    buf = _band_buffer(nbytes)
-    for y0, y1 in bands:
+    shapes = lambda rows: ((rows + th - 1, c, tw, wc, n), (pool * rows, cout, wc * n))
+    for y0, y1, (xw, full) in _bands(hc, s, out.dtype, shapes):
         rows = y1 - y0
-        xw, full = _carve(buf, dtype, (rows + th - 1, c, tw, wc, n), (pool * rows, cout, wc * n))
         _fill_windows(xw, src, y0 - pt, pl)
         band = _rows(out, y0 // s, y1 // s)
         if not pool:
@@ -563,20 +548,18 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, pool: bool = False) -> Tens
             gx = np.empty((cin, h, w, n), dtype)
             _correlate(gt, flipped.T, (th, tw, th - 1 - pt, tw - 1 - pl), gx)
         if kernels.requires_grad or overlap:
-            grad_k, klen, isz = kernels.requires_grad, th * cin * tw, dtype.itemsize
-            row_in = cin * tw * wc * n * isz  # bytes of one row of windows, or of window gradients
-            per_row = row_in * (1 + overlap) + isz * cout * (wc * n * pool + klen * grad_k)
-            bands, nbytes = _bands(hc, s, (th - 1) * row_in, per_row)
-            buf = _band_buffer(nbytes)
+            grad_k, klen = kernels.requires_grad, th * cin * tw
             gk = np.zeros((klen, cout), dtype)
             if overlap:
                 gx = np.zeros((cin, h, w, n), dtype)
                 krows = np.ascontiguousarray(live.transpose(2, 1, 3, 0)).reshape(th, cin * tw, cout)
-            for y0, y1 in bands:
+
+            def shapes(rows):  # windows, pooled gradient rows, kernel-gradient products, window gradients
+                return ((rows + th - 1, cin, tw, wc, n), (rows * pool, cout, wc * n),
+                        (rows * grad_k, klen, cout), (rows * overlap, cin, tw, wc, n))
+
+            for y0, y1, (xw, gfull, part, gwin) in _bands(hc, s, dtype, shapes):
                 rows = y1 - y0
-                xw, gfull, part, gwin = _carve(
-                    buf, dtype, (rows + th - 1, cin, tw, wc, n), (rows * pool, cout, wc * n),
-                    (rows * grad_k, klen, cout), (rows * overlap, cin, tw, wc, n))
                 if pool:
                     full = gfull.reshape(rows // 2, 2, cout, wc // 2, 2, n)
                     gb = _unpool2(_rows(gt, y0 // 2, y1 // 2), _rows(which, y0 // 2, y1 // 2), full)
@@ -726,7 +709,7 @@ def unstack(x: Tensor) -> list:
 
     def row(r):
         def _bw(g):
-            _accumulate_at(x, r, g)
+            _accumulate(x, g, index=r)
 
         return Tensor(x.data[r], _parents=(x,), _backward=_bw, _op="unstack")
 
@@ -738,7 +721,7 @@ def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
     out_data = x.data[start:stop]
 
     def _bw(g):
-        _accumulate_at(x, slice(start, stop), g)
+        _accumulate(x, g, index=slice(start, stop))
 
     return Tensor(out_data, _parents=(x,), _backward=_bw, _op="slice_rows")
 
@@ -838,7 +821,7 @@ def run_shards(task, n: int, values_per_item: int) -> list:
     runs ``task(h, n)``. Each shard runs in its own copy of this thread's
     context, so both inherit its grad mode and numpy error state, and each
     has a gradient sink of its own: the gradients a shard adds into leaf
-    tensors (the parameters) go to stand-ins there. No op knows of the
+    tensors (the parameters) go there, one array per leaf. No op knows of the
     split: a task weights its mean by its share of n. OpenBLAS is held at
     one thread for the whole call, so each shard's GEMMs run on its own
     core. This thread waits for the worker before it restores the BLAS
@@ -871,7 +854,6 @@ def run_shards(task, n: int, values_per_item: int) -> list:
         set_threads(threads)
         _running.release()
     for sink in (own, theirs):
-        for leaf, home in sink.items():
-            if home.grad is not None:
-                _accumulate(leaf, home.grad, owned=True)
+        for leaf, grad in sink.items():
+            _accumulate(leaf, grad, owned=True)
     return [first, second]

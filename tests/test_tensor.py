@@ -1044,6 +1044,36 @@ class TestRunShards:
         T.run_shards(self.weighted_task(p, weights), 5, self.BIG)
         assert np.array_equal(p.grad, weights[:3].sum(axis=0) + weights[3:].sum(axis=0))
 
+    @pytest.mark.parametrize("route", ["slice_rows", "unstack"])
+    def test_indexed_gradients_wait_in_the_sink_until_the_merge(self, route):
+        """A leaf reached only through row views adds each shard's row
+        gradients into that shard's sink, not into ``.grad``; the merge then
+        gives it the gradient of the unsharded call. Integer weights make
+        every sum exact, whatever its order."""
+        weights = RNG(2).integers(-9, 10, size=(5, 4, 3)).astype(np.float64)
+        p = T.Tensor(RNG(3).normal(size=(4, 3)), requires_grad=True)
+        before_merge = []
+
+        def backward(lo, hi):
+            rows = [T.slice_rows(p, 1, 3)] if route == "slice_rows" else T.unstack(p)[1:3]
+            picked = weights[lo:hi, 1:3].sum(axis=0)
+            loss = T.sum_all(T.mul(rows[0], T.Tensor(picked if route == "slice_rows" else picked[0])))
+            if route == "unstack":
+                loss = loss + T.sum_all(T.mul(rows[1], T.Tensor(picked[1])))
+            loss.backward()
+
+        def task(lo, hi):
+            backward(lo, hi)
+            before_merge.append((p.grad, T._sink.get()[p].copy()))
+
+        backward(0, 5)
+        whole, p.grad = p.grad, None
+        T.run_shards(task, 5, self.BIG)
+        assert [grad for grad, _ in before_merge] == [None, None]
+        np.testing.assert_array_equal(before_merge[0][1] + before_merge[1][1], whole)
+        np.testing.assert_array_equal(p.grad, whole)
+        assert not whole[[0, 3]].any() and whole[1:3].any()
+
     def test_concurrent_backwards_lose_no_update(self):
         """Both shards add into one leaf many times while the interpreter
         switches threads as often as it can. The leaf is large, so numpy
