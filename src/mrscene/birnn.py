@@ -76,6 +76,8 @@ def lstm_sequence(x: Tensor, p: LstmParams, reverse: bool = False) -> Tensor:
     if x.ndim < 2 or x.shape[-1] != p.W_f.shape[1]:
         raise ShapeError(f"lstm_sequence input {x.shape} does not match W_f {p.W_f.shape}")
     n, d, hidden = x.shape[0], x.shape[-1], p.hidden
+    if n == 0:
+        raise ShapeError(f"lstm_sequence needs at least one step, got {x.shape}")
     leaves = [getattr(p, f"{kind}_{gate}") for kind in "WUb" for gate in "fioc"]
     W, U, b = (np.concatenate([t.data for t in leaves[k : k + 4]]) for k in (0, 4, 8))
     xs = np.ascontiguousarray(x.data[::-1] if reverse else x.data).reshape(n, -1, d)

@@ -36,6 +36,8 @@ def bce_with_logits_loss(scores: Tensor, targets) -> Tensor:
     y = np.asarray(targets, dtype=z.dtype)
     if y.shape != z.shape:
         raise ShapeError(f"targets {y.shape} do not match scores {z.shape}")
+    if z.size == 0:
+        raise ShapeError(f"bce_with_logits_loss of no scores, got shape {z.shape}")
     elementwise = np.maximum(z, 0) - z * y + np.log1p(np.exp(-np.abs(z)))
     out_data = np.asarray(elementwise.mean(), dtype=z.dtype)
 

@@ -204,8 +204,7 @@ class Model:
     def infer(self, samples, batch_size: int = 32) -> ForwardResult:
         """Scores and attention of every sample, computed in fixed-size
         batches with no graph: the one inference loop. A batch of large
-        samples runs as two data-parallel shards on two threads
-        (``tensor.run_shards``)."""
+        samples runs as two data-parallel shards (``tensor.run_shards``)."""
         if batch_size < 1:
             raise UsageError(f"batch_size must be >= 1, got {batch_size}")
         if not samples:

@@ -11,11 +11,12 @@ parents, so a second ``backward()`` through the spent graph raises
 Inside ``with no_grad():`` no graph is recorded, which is how evaluation
 runs the forward pass.
 
-``run_shards`` splits a batch of large samples into two data-parallel
-shards, one run by the caller and one by a reused worker thread, each on a
-one-thread BLAS and each in a context of its own, whose gradient sink
-collects that shard's leaf gradients. No op keeps state between calls, so
-threads may run ops at once on tensors they do not share.
+``run_shards`` splits every batch of large samples into two data-parallel
+shards, each in a context of its own, whose gradient sink collects that
+shard's leaf gradients. With two CPUs the caller and a reused worker thread
+run them at once, each on a one-thread BLAS; otherwise the caller runs them
+in turn. No op keeps state between calls, so threads may run ops at once on
+tensors they do not share.
 
 Two float precisions are supported: float32 (training, evaluation) and
 float64 (gradient checking). The dtype of an operation's result follows
@@ -518,6 +519,8 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, pool: bool = False) -> Tens
         raise ShapeError(f"conv2d channels disagree: input {x.shape} vs kernels {kernels.shape}")
     if bias.shape != (cout,):
         raise ShapeError(f"conv2d bias must be ({cout},), got {bias.shape}")
+    if n < 1:
+        raise ShapeError(f"conv2d needs at least one sample, got {x.shape}")
     if kh < 1 or kw < 1 or h < 1 or w < 1:
         raise ShapeError(f"conv2d kernel {kernels.shape} does not fit padded input {x.shape}")
     if pool and (h < 2 or w < 2):
@@ -627,8 +630,8 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 def softmax_rows(x: Tensor) -> Tensor:
     """Softmax along the last axis, independently per row."""
-    if x.ndim < 2:
-        raise ShapeError(f"softmax_rows needs at least 2 dimensions, got {x.shape}")
+    if x.ndim < 2 or x.shape[-1] == 0:
+        raise ShapeError(f"softmax_rows needs at least 2 dimensions and a row entry, got {x.shape}")
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     out_data = e / e.sum(axis=-1, keepdims=True)
@@ -738,6 +741,8 @@ def sum_all(x: Tensor) -> Tensor:
 
 
 def mean_all(x: Tensor) -> Tensor:
+    if x.size == 0:
+        raise ShapeError(f"mean_all of no elements, got shape {x.shape}")
     scale = 1.0 / x.size
 
     def _bw(g):
@@ -756,7 +761,7 @@ def mean_all(x: Tensor) -> Tensor:
 # sharded against 15 ms; 12,800 values broke even; 28,800 gained 9% (faster
 # in 11 of 12 rounds) and a BigEarthNet-shaped step (80,000) 15-20%.
 _SHARD_MIN_VALUES = 20_000
-_running = threading.Lock()  # held by the one sharded call that may run at a time
+_running = threading.Lock()  # held by the one call whose shards run at once
 
 
 def _usable_cpus() -> int:
@@ -816,44 +821,48 @@ def run_shards(task, n: int, values_per_item: int) -> list:
     order: ``[task(0, n)]``, or one result per shard.
 
     A batch of at least two items of at least ``_SHARD_MIN_VALUES`` values
-    each, in a process that may use two CPUs, is split in two. This thread
-    runs ``task(0, h)``, h = ceil(n / 2), while the reused worker thread
-    runs ``task(h, n)``. Each shard runs in its own copy of this thread's
-    context, so both inherit its grad mode and numpy error state, and each
-    has a gradient sink of its own: the gradients a shard adds into leaf
-    tensors (the parameters) go there, one array per leaf. No op knows of the
-    split: a task weights its mean by its share of n. OpenBLAS is held at
-    one thread for the whole call, so each shard's GEMMs run on its own
-    core. This thread waits for the worker before it restores the BLAS
-    thread count, even when its own shard raises; then an exception of its
-    own shard, or else one of the worker's, is re-raised. Once both are
-    done, this shard's sink and then the worker's are added into the
-    leaves' ``.grad``: each leaf's gradient is the same sum in every run.
+    each, and only the batch decides this, is split into ``task(0, h)`` and
+    ``task(h, n)``, h = ceil(n / 2). Each shard runs in its own copy of this
+    thread's context, so both inherit its grad mode and numpy error state,
+    and each has a gradient sink of its own: the gradients a shard adds into
+    leaf tensors (the parameters) go there, one array per leaf. No op knows
+    of the split: a task weights its mean by its share of n. Once both are
+    done, the first shard's sink and then the second's are added into the
+    leaves' ``.grad``: each leaf's gradient is the same sum in every run, on
+    any CPU count.
 
-    One sharded call runs at a time: a call made while another is running,
-    from one of its shards or from any other thread, runs whole, as it also
-    does without the OpenBLAS thread calls, where two threads would
-    oversubscribe the cores.
+    With two CPUs, the OpenBLAS thread calls and no other call's shards
+    running at once, the reused worker thread runs the second shard while
+    this thread runs the first, with OpenBLAS held at one thread for the
+    whole call so that each shard's GEMMs run on its own core. This thread
+    waits for the worker before it restores the BLAS thread count, even
+    when its own shard raises; then an exception of its own shard, or else
+    one of the worker's, is re-raised. Otherwise this thread runs the
+    shards in turn: on one CPU, without the thread calls, where two threads
+    would oversubscribe the cores, and in a call made while another call's
+    shards run at once, from one of them or from any other thread.
     """
-    blas = _blas_threads()
-    if (n < 2 or values_per_item < _SHARD_MIN_VALUES or _usable_cpus() < 2 or blas is None
-            or not _running.acquire(blocking=False)):
+    if n < 2 or values_per_item < _SHARD_MIN_VALUES:
         return [task(0, n)]
     h = (n + 1) // 2
-    get_threads, set_threads = blas
-    threads = get_threads()
-    set_threads(1)
-    try:
-        job = _shard_worker().submit(contextvars.copy_context().run, _shard, task, h, n)
+    blas = _blas_threads()
+    if _usable_cpus() < 2 or blas is None or not _running.acquire(blocking=False):
+        shards = [contextvars.copy_context().run(_shard, task, lo, hi) for lo, hi in ((0, h), (h, n))]
+    else:
+        get_threads, set_threads = blas
+        threads = get_threads()
+        set_threads(1)
         try:
-            first, own = contextvars.copy_context().run(_shard, task, 0, h)
+            job = _shard_worker().submit(contextvars.copy_context().run, _shard, task, h, n)
+            try:
+                first = contextvars.copy_context().run(_shard, task, 0, h)
+            finally:
+                futures.wait((job,))
+            shards = [first, job.result()]
         finally:
-            futures.wait((job,))
-        second, theirs = job.result()
-    finally:
-        set_threads(threads)
-        _running.release()
-    for sink in (own, theirs):
+            set_threads(threads)
+            _running.release()
+    for _, sink in shards:
         for leaf, grad in sink.items():
             _accumulate(leaf, grad, owned=True)
-    return [first, second]
+    return [result for result, _ in shards]

@@ -255,7 +255,8 @@ class TestEvaluatePredictAttn:
 
     def test_attn_dump_runs_sharded_batches_and_prints_their_tables(self, tmp_path, capsys, monkeypatch):
         """BigEarthNet-shaped batches of 4 and 2 run as two shards each, and
-        the tables are those of an unsharded forward of each batch."""
+        the tables are those of an unsharded forward of each batch. One CPU
+        prints the same text as two."""
         from mrscene import tensor as T
         from mrscene.checkpoint import write_checkpoint
         from mrscene.dataset import DatasetManifest, load_split
@@ -269,13 +270,16 @@ class TestEvaluatePredictAttn:
         ckpt = tmp_path / "big.mac"
         write_checkpoint(ckpt, model.parameters, {}, 0, {"model": model.config.to_dict()})
         capsys.readouterr()
-        monkeypatch.setattr(T, "_usable_cpus", lambda: 2)
-        shards = []
+        shards, printed = [], []
         run_shards = T.run_shards
         monkeypatch.setattr(T, "run_shards", lambda *a: shards.append(run_shards(*a)) or shards[-1])
-        assert main(["attn-dump", "--data", str(data), "--checkpoint", str(ckpt), "--batch-size", "4"]) == 0
-        assert [len(s) for s in shards] == [2, 2]
-        out = capsys.readouterr().out.splitlines()[1:]
+        for cpus in (2, 1):
+            monkeypatch.setattr(T, "_usable_cpus", lambda: cpus)
+            assert main(["attn-dump", "--data", str(data), "--checkpoint", str(ckpt), "--batch-size", "4"]) == 0
+            printed.append(capsys.readouterr().out)
+        assert [len(s) for s in shards] == [2] * 4
+        assert printed[1] == printed[0]
+        out = printed[0].splitlines()[1:]
         samples = load_split(manifest, "test", data)
         for start in (0, 4):
             with T.no_grad():

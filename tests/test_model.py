@@ -392,8 +392,9 @@ class TestPredictProbabilities:
         assert peak_four <= 1.25 * peak_one
 
     def test_sharded_batches_match_batch_one(self, monkeypatch):
-        """BigEarthNet-shaped batches of 5 and 2 run as two shards each."""
-        monkeypatch.setattr(T, "_usable_cpus", lambda: 2)
+        """BigEarthNet-shaped batches of 5 and 2 run as two shards each, and
+        give the same bits on one CPU, on two and while another sharded call
+        holds the lock."""
         shapes = PROFILES["bigearthnet-shaped"].subset_shapes
         model = Model(ModelConfig(n_classes=4, subset_shapes=shapes), seed=0)
         rng = np.random.default_rng(0)
@@ -405,6 +406,19 @@ class TestPredictProbabilities:
         assert [len(s) for s in shards] == [2, 2]
         np.testing.assert_allclose(batched, model.predict_probabilities(samples, batch_size=1),
                                    rtol=0, atol=1e-6)
+
+        def outputs():
+            return model.predict_probabilities(samples, 5).tobytes(), model.infer(samples, 5).attention.data.tobytes()
+
+        runs = []
+        shards.clear()
+        for cpus in (1, 2):
+            monkeypatch.setattr(T, "_usable_cpus", lambda: cpus)
+            runs.append(outputs())
+        with T._running:  # as while another call's shards run at once
+            runs.append(outputs())
+        assert runs == [runs[1]] * 3 and runs[1][0] == batched.tobytes()
+        assert [len(s) for s in shards] == [2] * 12
 
     def test_rejects_batch_size_below_one(self):
         model, samples = self.tiny_model_and_samples(2)

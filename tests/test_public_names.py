@@ -10,7 +10,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "mrscene"
 # public names with no other user, each with the reason it may stay
 ALLOWED = {
-    "trainer.Adam.load_state_entries": "under ROADMAP item 7 resume will give it a caller, "
+    "trainer.Adam.load_state_entries": "under ROADMAP item 9 resume will give it a caller, "
                                        "or it is removed along with the Adam state",
 }
 

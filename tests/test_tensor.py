@@ -12,8 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mrscene import tensor as T
+from mrscene.birnn import LstmParams, lstm_sequence
 from mrscene.errors import ShapeError, UsageError
 from mrscene.gradcheck import numeric_gradient, relative_error
+from mrscene.head import bce_with_logits_loss
 
 RNG = np.random.default_rng
 
@@ -971,9 +973,28 @@ class TestRunShards:
         task = lambda lo, hi: (lo, hi)  # noqa: E731
         assert T.run_shards(task, 8, self.BIG - 1) == [(0, 8)]
         assert T.run_shards(task, 1, 10 * self.BIG) == [(0, 1)]
-        monkeypatch.setattr(T, "_usable_cpus", lambda: 1)
-        assert T.run_shards(task, 8, 10 * self.BIG) == [(0, 8)]
         assert threading.active_count() == threads
+
+    def test_on_one_cpu_this_thread_runs_the_halves_in_turn(self, monkeypatch, blas_threads):
+        """The split is the batch's, not the machine's: each half runs in a
+        context of its own, at the BLAS thread count it finds, and the
+        first half's gradients are added before the second's."""
+        monkeypatch.setattr(T, "_usable_cpus", lambda: 1)
+        self.no_worker(monkeypatch)
+        threads, calls = threading.active_count(), []
+
+        def task(lo, hi):
+            assert T._sink.get() == {}  # a fresh sink per half
+            calls.append((lo, hi, threading.get_ident(), blas_threads()))
+            return hi - lo
+
+        assert T.run_shards(task, 5, self.BIG) == [3, 2]
+        assert calls == [(0, 3, threading.get_ident(), 2), (3, 5, threading.get_ident(), 2)]
+        assert T._sink.get() is None and threading.active_count() == threads and blas_threads() == 2
+        weights = RNG(0).normal(size=(5, 4))
+        p = T.Tensor(RNG(1).normal(size=4), requires_grad=True)
+        T.run_shards(self.weighted_task(p, weights), 5, self.BIG)
+        assert np.array_equal(p.grad, weights[:3].sum(axis=0) + weights[3:].sum(axis=0))
 
     def test_one_worker_thread_reused(self):
         T.run_shards(lambda lo, hi: None, 2, self.BIG)
@@ -996,28 +1017,45 @@ class TestRunShards:
         assert requests == [four_rows] * 4  # one band buffer per forward, outside and inside
         np.testing.assert_allclose(np.concatenate(shards), whole, rtol=1e-12, atol=0)
 
-    def test_a_shard_that_shards_again_runs_whole(self):
-        """The worker would otherwise wait on a job queued behind itself."""
-        inner = lambda lo, hi: (lo, hi)  # noqa: E731
-        outer = lambda lo, hi: T.run_shards(inner, 4, self.BIG)  # noqa: E731
-        assert T.run_shards(outer, 2, self.BIG) == [[(0, 4)], [(0, 4)]]
+    def test_a_shard_that_shards_again_runs_its_halves_in_turn(self, blas_threads):
+        """The worker would otherwise wait on a job queued behind itself.
+        The inner halves' gradients go to the outer shard's sink, so the
+        leaf gets the sum of all four, exactly, with integer weights."""
+        weights = RNG(2).integers(-9, 10, size=(4, 3)).astype(np.float64)
+        p = T.Tensor(RNG(3).normal(size=3), requires_grad=True)
 
-    def test_a_second_caller_runs_whole(self, blas_threads):
+        def inner(lo, hi):
+            T.sum_all(T.mul(p, T.Tensor(weights[lo:hi]))).backward()
+            return lo, hi, threading.get_ident(), blas_threads()
+
+        def outer(lo, hi):
+            halves = T.run_shards(inner, 4, self.BIG)
+            assert p.grad is None  # until the outer merge
+            return [(lo_, hi_, thread == threading.get_ident(), count) for lo_, hi_, thread, count in halves]
+
+        assert T.run_shards(outer, 2, self.BIG) == [[(0, 2, True, 1), (2, 4, True, 1)]] * 2
+        np.testing.assert_array_equal(p.grad, 2 * weights.sum(axis=0))
+        assert blas_threads() == 2
+
+    def test_a_second_caller_runs_its_halves_in_turn(self, blas_threads):
         """A thread that calls run_shards while a sharded call is running
-        gets one whole call; the BLAS count ends where it began."""
-        inner = lambda lo, hi: (lo, hi, blas_threads())  # noqa: E731
+        runs both halves itself, on the one BLAS thread that call holds;
+        the BLAS count ends where it began."""
+        inner = lambda lo, hi: (lo, hi, threading.get_ident(), blas_threads())  # noqa: E731
         seen = []
 
         def outer(lo, hi):
             if lo == 0:
-                thread = threading.Thread(target=lambda: seen.append(T.run_shards(inner, 4, self.BIG)))
+                thread = threading.Thread(target=lambda: seen.append((threading.get_ident(),
+                                                                      T.run_shards(inner, 4, self.BIG))))
                 thread.start()
                 thread.join(30)
                 assert not thread.is_alive()
             return lo
 
         assert T.run_shards(outer, 2, self.BIG) == [0, 1]
-        assert seen == [[(0, 4, 1)]]
+        [(caller, halves)] = seen
+        assert halves == [(0, 2, caller, 1), (2, 4, caller, 1)]
         assert blas_threads() == 2
 
     def test_worker_inherits_grad_mode_and_error_state(self):
@@ -1097,15 +1135,15 @@ class TestRunShards:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_without_blas_thread_calls_one_call_and_no_worker(self, monkeypatch):
-        """Two threads would then oversubscribe the cores: the batch runs
-        whole on the calling thread."""
+    def test_without_blas_thread_calls_the_halves_run_in_turn(self, monkeypatch):
+        """Two threads would then oversubscribe the cores: the calling
+        thread runs both halves."""
         monkeypatch.setattr(T, "_blas_threads", lambda: None)
         self.no_worker(monkeypatch)
         threads, callers = threading.active_count(), []
         assert T.run_shards(lambda lo, hi: callers.append(threading.get_ident()) or (lo, hi),
-                            5, self.BIG) == [(0, 5)]
-        assert callers == [threading.get_ident()]
+                            5, self.BIG) == [(0, 3), (3, 5)]
+        assert callers == [threading.get_ident()] * 2
         assert threading.active_count() == threads
 
     def test_worker_exception_reaches_the_caller(self):
@@ -1147,3 +1185,26 @@ class TestRunShards:
             assert failing is None
         assert seen == [1] * (2 - (failing is not None))
         assert blas_threads() == 2
+
+
+def lstm_on(shape):
+    """lstm_sequence over zeros of ``shape`` (R, B, 3), hidden width 2."""
+    p = LstmParams(**{f"{kind}_{gate}": T.Tensor(np.zeros({"W": (2, 3), "U": (2, 2), "b": (2,)}[kind]))
+                      for kind in "WUb" for gate in "fioc"})
+    return lstm_sequence(T.Tensor(np.zeros(shape)), p)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: T.conv2d(T.Tensor(np.zeros((0, 1, 4, 4))), T.Tensor(np.zeros((2, 1, 3, 3))), T.Tensor(np.zeros(2))),
+    lambda: T.conv2d(T.Tensor(np.zeros((0, 1, 4, 4))), T.Tensor(np.zeros((2, 1, 3, 3))), T.Tensor(np.zeros(2)),
+                     pool=True),
+    lambda: lstm_on((0, 2, 3)),
+    lambda: T.mean_all(T.Tensor(np.zeros((0, 3)))),
+    lambda: T.softmax_rows(T.Tensor(np.zeros((3, 0)))),
+    lambda: bce_with_logits_loss(T.Tensor(np.zeros((0, 4))), np.zeros((0, 4))),
+], ids=["conv2d-no-samples", "pooled-conv2d-no-samples", "lstm-no-steps", "mean-of-nothing", "softmax-of-empty-rows",
+        "bce-of-no-scores"])
+def test_empty_input_is_a_shape_error(call):
+    """Not a bare ZeroDivisionError or reshape ValueError, nor a NaN loss."""
+    with pytest.raises(ShapeError):
+        call()

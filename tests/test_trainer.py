@@ -1,8 +1,13 @@
 """Initialization, the Adam optimizer, and the training loop."""
 
+import contextlib
 import hashlib
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,18 +299,14 @@ def bigearthnet_samples(n, seed=0):
 
 
 class TestShardedTraining:
-    """BigEarthNet-shaped batches of 8 run as two shards of 4 samples."""
-
-    @pytest.fixture(autouse=True)
-    def two_cpus(self, monkeypatch):
-        monkeypatch.setattr(T, "_usable_cpus", lambda: 2)
+    """BigEarthNet-shaped batches of 8 run as two shards of 4 samples, on
+    any number of CPUs."""
 
     @staticmethod
-    def one_step(monkeypatch, cpus, batch=8):
+    def one_step(monkeypatch, batch=8):
         """Loss and parameter gradients of one training step at ``batch``,
         and the number of shards it ran as. The gradients are those the
         step computed; its update does not touch them."""
-        monkeypatch.setattr(T, "_usable_cpus", lambda: cpus)
         shards = []
         monkeypatch.setattr(T, "run_shards", lambda *a: shards.append(run_shards(*a)) or shards[-1])
         model = Model(ModelConfig(n_classes=4, subset_shapes=PROFILES["bigearthnet-shaped"].subset_shapes), seed=0)
@@ -315,23 +316,54 @@ class TestShardedTraining:
 
     def test_sharded_step_matches_the_unsharded_one(self, monkeypatch):
         """At batch 8 the shards weigh their mean losses by 1/2 each; at
-        batch 5, by 3/5 and 2/5, which are not powers of two."""
-        for batch in (8, 5):
-            loss, grads, shards = self.one_step(monkeypatch, 2, batch)
-            one_loss, one_grads, one_shards = self.one_step(monkeypatch, 1, batch)
+        batch 5, by 3/5 and 2/5, which are not powers of two. The whole
+        batch runs once the shard threshold lies above its sample size."""
+        steps = {batch: self.one_step(monkeypatch, batch) for batch in (8, 5)}
+        monkeypatch.setattr(T, "_SHARD_MIN_VALUES", 10**9)
+        for batch, (loss, grads, shards) in steps.items():
+            one_loss, one_grads, one_shards = self.one_step(monkeypatch, batch)
             assert (shards, one_shards) == (2, 1)
             assert loss == pytest.approx(one_loss, rel=1e-5)
             for name, g in grads.items():
                 assert np.abs(g - one_grads[name]).max() <= 1e-5 * np.abs(one_grads[name]).max(), (batch, name)
 
-    def test_without_blas_thread_calls_the_step_is_bit_identical(self, monkeypatch):
-        """The batch then runs whole, as the one-CPU step does."""
-        one_loss, one_grads, _ = self.one_step(monkeypatch, 1)
+    @pytest.fixture(scope="class")
+    def concurrent_steps(self):
+        """The step at batches 8 and 5 with its two halves run at once, by
+        this thread and the worker, as on two CPUs."""
+        if T._blas_threads() is None:
+            pytest.skip("numpy's BLAS exports no thread-count calls, so the halves never run at once")
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(T, "_usable_cpus", lambda: 2)
+            threads = set()
+            shard = T._shard
+            monkeypatch.setattr(T, "_shard", lambda *a: threads.add(threading.get_ident()) or shard(*a))
+            steps = {batch: self.one_step(monkeypatch, batch) for batch in (8, 5)}
+        assert len(threads) == 2
+        return steps
+
+    def assert_in_turn_steps_keep_the_bits(self, monkeypatch, concurrent_steps):
+        """This thread runs both halves in turn, with no worker, and the
+        loss and every gradient keep the bits of the concurrent steps."""
+        monkeypatch.setattr(T, "_shard_worker", lambda: pytest.fail("a shard worker was asked for"))
+        for batch, (two_loss, two_grads, two_shards) in concurrent_steps.items():
+            loss, grads, shards = self.one_step(monkeypatch, batch)
+            assert shards == two_shards == 2 and loss == two_loss, batch
+            for name, g in grads.items():
+                assert g.tobytes() == two_grads[name].tobytes(), (batch, name)
+
+    @pytest.mark.parametrize("condition", ["one_cpu", "sharded_call_running"])
+    def test_the_step_is_bit_identical_however_its_halves_run(self, monkeypatch, concurrent_steps, condition):
+        """On one CPU, and while another sharded call holds the lock."""
+        monkeypatch.setattr(T, "_usable_cpus", lambda: 1 if condition == "one_cpu" else 2)
+        with T._running if condition == "sharded_call_running" else contextlib.nullcontext():
+            self.assert_in_turn_steps_keep_the_bits(monkeypatch, concurrent_steps)
+
+    def test_without_blas_thread_calls_the_step_is_bit_identical(self, monkeypatch, concurrent_steps):
+        """Two threads would then oversubscribe the cores."""
+        monkeypatch.setattr(T, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(T, "_blas_threads", lambda: None)
-        loss, grads, shards = self.one_step(monkeypatch, 2)
-        assert shards == 1 and loss == one_loss
-        for name, g in grads.items():
-            assert g.tobytes() == one_grads[name].tobytes(), name
+        self.assert_in_turn_steps_keep_the_bits(monkeypatch, concurrent_steps)
 
     def test_cli_runs_are_byte_identical(self, tmp_path, capsys):
         """Two `mrscene train` runs on 14 training samples (batches of 8
@@ -347,6 +379,30 @@ class TestShardedTraining:
                             for name in ("checkpoint-final.mac", "loss_log.txt")])
         capsys.readouterr()
         assert digests[0] == digests[1]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs two usable CPUs and os.sched_setaffinity")
+    def test_a_run_pinned_to_one_cpu_writes_the_same_bytes(self, tmp_path):
+        """`python -m mrscene train` in a child process pinned to one CPU,
+        which runs each batch's halves in turn, writes the checkpoint and
+        loss log of a run on every CPU, which runs them at once."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+
+        def mrscene(*args, pin=None):
+            proc = subprocess.run([sys.executable, "-m", "mrscene", *args], env=env, preexec_fn=pin,
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+
+        data = tmp_path / "data"
+        mrscene("generate-data", "--out", str(data), "--seed", "3", "--n", "16",
+                "--profile", "bigearthnet-shaped", "--classes", "4")
+        cpu = min(os.sched_getaffinity(0))
+        for run, pin in (("every", None), ("one", lambda: os.sched_setaffinity(0, {cpu}))):
+            mrscene("train", "--data", str(data), "--out", str(tmp_path / run),
+                    "--epochs", "2", "--seed", "1", "--batch-size", "8", pin=pin)
+        for name in ("checkpoint-final.mac", "loss_log.txt"):
+            assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "every" / name).read_bytes(), name
 
     def test_non_finite_loss_in_the_workers_shard(self):
         """A NaN pixel in the second half of the batch, which the worker
