@@ -8,15 +8,17 @@ emits the patch descriptor.
 
 import numpy as np
 
-from mrscene.kbranch import (
-    DEFAULT_BAND_GROUPS,
-    branch_forward,
-    default_branch_specs,
-    fuse_descriptors,
-    split_patches,
-)
+from mrscene.kbranch import branch_forward, default_branch_specs, fuse_descriptors, split_patches
 from mrscene.model import Model, ModelConfig
 from mrscene.tensor import Tensor
+
+# Sentinel-2 style grouping by ground resolution: 10m, 20m, 60m bands.
+# A branch takes every band of its group, so only the counts reach the model.
+BAND_GROUPS = (
+    ("B02", "B03", "B04", "B08"),
+    ("B05", "B06", "B07", "B8A", "B11", "B12"),
+    ("B01", "B09"),
+)
 
 rng = np.random.default_rng(1)
 
@@ -30,7 +32,7 @@ subsets = [
 print("== tiling into 16 non-overlapping patches ==")
 patches = split_patches(subsets, 16)
 for k, tiles in enumerate(patches.per_subset):
-    print(f"  group {k} ({','.join(DEFAULT_BAND_GROUPS[k])}): {tiles.shape}")
+    print(f"  group {k} ({','.join(BAND_GROUPS[k])}): {tiles.shape}")
 
 # patch r covers grid cell (r // 4, r % 4) of every group
 ph = subsets[0].shape[1] // 4
@@ -38,7 +40,7 @@ print("patch 5 is the slice at cell (1, 1):",
       np.array_equal(patches.patch(5, 0), subsets[0][:, ph : 2 * ph, ph : 2 * ph]))
 
 print("\n== branch schedules ==")
-for k, spec in enumerate(default_branch_specs(DEFAULT_BAND_GROUPS)):
+for k, spec in enumerate(default_branch_specs(len(BAND_GROUPS))):
     layers = ", ".join(
         f"{l.kernel}x{l.kernel}({l.filters}){'+pool' if l.pool else ''}" for l in spec.layers
     )

@@ -50,7 +50,7 @@ def _load_manifest(data_dir) -> DatasetManifest:
     return DatasetManifest.load(path)
 
 
-def _model_config(payload, manifest: DatasetManifest, source: str, strict_filters: bool = True) -> ModelConfig:
+def _model_config(payload, manifest: DatasetManifest, source: str) -> ModelConfig:
     """The validated model config of ``payload``; ConfigError unless its
     input geometry and class count are the dataset's."""
     model_cfg = ModelConfig.from_dict(payload)
@@ -58,7 +58,7 @@ def _model_config(payload, manifest: DatasetManifest, source: str, strict_filter
         ours, theirs = getattr(model_cfg, field), getattr(manifest, field)
         if ours != theirs:
             raise ConfigError(f"{source} model.{field} = {ours} does not match dataset manifest value {theirs}")
-    model_cfg.validate(strict_filters)
+    model_cfg.validate()
     return model_cfg
 
 
@@ -75,6 +75,8 @@ def _resolve_configs(args, manifest: DatasetManifest):
         model_payload["threshold"] = args.threshold
 
     model_cfg = _model_config(model_payload, manifest, "config")
+    for spec in model_cfg.branches:  # a model to train follows the paper's filter schedule
+        spec.validate()
     train_cfg = TrainConfig.from_dict(train_payload)
     train_cfg.validate()
     echo = {"model": model_cfg.to_dict(), "train": train_cfg.to_dict(), "data": str(args.data)}
@@ -130,8 +132,7 @@ def _load_checkpoint_run(args):
     data = read_checkpoint(args.checkpoint)
     if "model" not in data.config:
         raise ConfigError(f"{args.checkpoint}: checkpoint carries no model config echo")
-    model = Model(_model_config(data.config["model"], manifest, f"checkpoint {args.checkpoint}",
-                                strict_filters=False), seed=0)
+    model = Model(_model_config(data.config["model"], manifest, f"checkpoint {args.checkpoint}"), seed=0)
     load_parameters(model, data.params)
     threshold = getattr(args, "threshold", None)  # attn-dump has no --threshold
     threshold = model.config.threshold if threshold is None else check_threshold(threshold)

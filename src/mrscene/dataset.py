@@ -241,9 +241,6 @@ def generate_synthetic(
         n_classes = prof.default_classes
     if not 1 <= n_classes <= prof.max_classes:
         raise ConfigError(f"profile {profile!r} supports 1..{prof.max_classes} classes, got {n_classes}")
-    for bands, h, w in prof.subset_shapes:
-        if h % GRID or w % GRID:
-            raise ConfigError(f"subset {bands}x{h}x{w} not divisible by the {GRID}x{GRID} grid")
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

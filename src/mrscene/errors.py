@@ -153,9 +153,10 @@ def drop_legacy(section: str, payload, key: str, value, error=ConfigError):
 
 def shape_triples(shapes) -> list:
     """[(bands, H, W), ...] from a list of three-integer lists; ValueError
-    or TypeError for anything else."""
+    or TypeError for anything else, ``true`` included."""
     triples = [(bands, h, w) for bands, h, w in shapes]
-    if not all(isinstance(v, Integral) and v > 0 for triple in triples for v in triple):
+    if not all(isinstance(v, Integral) and not isinstance(v, bool) and v > 0
+               for triple in triples for v in triple):
         raise ValueError(f"shapes must be positive integer triples, got {shapes!r}")
     return triples
 

@@ -164,8 +164,8 @@ def shrunken_config():
         n_classes=3,
         subset_shapes=[(2, 12, 12), (1, 12, 12)],
         branches=[
-            BranchSpec(["a0", "a1"], [ConvLayerSpec(3, 4, pool=True), ConvLayerSpec(3, 3)], fc_out=5),
-            BranchSpec(["b0"], [ConvLayerSpec(2, 3), ConvLayerSpec(2, 2)], fc_out=4),
+            BranchSpec([ConvLayerSpec(3, 4, pool=True), ConvLayerSpec(3, 3)], fc_out=5),
+            BranchSpec([ConvLayerSpec(2, 3), ConvLayerSpec(2, 2)], fc_out=4),
         ],
         n_patches=4,
         descriptor_width=6,

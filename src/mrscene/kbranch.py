@@ -6,6 +6,7 @@ concatenated per patch, and a shared fully connected fusion layer emits the
 patch descriptor. All parameters are shared across patches.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,15 +26,16 @@ class ConvLayerSpec:
 
 @dataclass
 class BranchSpec:
-    """Architecture of one branch: its bands, conv stack, and output width."""
+    """Architecture of one branch: its conv stack and output width. A
+    branch takes every band of its subset, so the band count is the
+    subset's (``ModelConfig.subset_shapes``)."""
 
-    band_indices: list
     layers: list
     fc_out: int = 128
 
     def validate(self):
-        """Enforce the filter regime: start at 32, double up then halve
-        down, end at 64."""
+        """Enforce the filter schedule of the paper: start at 32, double
+        up then halve down, end at 64."""
         if not self.layers:
             raise ConfigError("branch needs at least one conv layer")
         filters = [l.filters for l in self.layers]
@@ -48,8 +50,6 @@ class BranchSpec:
             climbing = False
             if cur * 2 != prev:
                 raise ConfigError(f"filter counts must double then halve, got {filters}")
-        if self.fc_out < 1:
-            raise ConfigError(f"fc_out must be positive, got {self.fc_out}")
 
     def spatial_trace(self, h: int, w: int) -> list:
         """Spatial sizes after each layer; same-padding convs keep size,
@@ -64,14 +64,14 @@ class BranchSpec:
         return trace
 
 
-def default_branch_specs(band_groups) -> list:
+def default_branch_specs(n_subsets: int) -> list:
     """Standard schedules: 5x5-then-3x3 with two pools for the highest
     resolution, 3x3 with one pool in between, 2x2 without pooling for the
     lowest resolution."""
     filters = (32, 64, 128, 64)
     specs = []
-    last = len(band_groups) - 1
-    for k, bands in enumerate(band_groups):
+    last = n_subsets - 1
+    for k in range(n_subsets):
         if k == 0 and last > 0:
             kernels, pools = (5, 3, 3, 3), (True, True, False, False)
         elif k == last:
@@ -79,16 +79,8 @@ def default_branch_specs(band_groups) -> list:
         else:
             kernels, pools = (3, 3, 3, 3), (True, False, False, False)
         layers = [ConvLayerSpec(ks, f, p) for ks, f, p in zip(kernels, filters, pools)]
-        specs.append(BranchSpec(band_indices=list(bands), layers=layers))
+        specs.append(BranchSpec(layers))
     return specs
-
-
-# Sentinel-2 style grouping by ground resolution: 10m, 20m, 60m bands.
-DEFAULT_BAND_GROUPS = (
-    ("B02", "B03", "B04", "B08"),
-    ("B05", "B06", "B07", "B8A", "B11", "B12"),
-    ("B01", "B09"),
-)
 
 
 @dataclass
@@ -119,15 +111,22 @@ def tile(arr: np.ndarray, grid: int) -> np.ndarray:
     )
 
 
+def patch_grid(n_patches: int, subset_shapes) -> int:
+    """The side g of the g x g patch grid: ConfigError unless ``n_patches``
+    is a positive perfect square and the grid divides the H and W of every
+    (bands, H, W) subset. The one grid rule."""
+    grid = math.isqrt(max(n_patches, 0))
+    if n_patches < 1 or grid * grid != n_patches:
+        raise ConfigError(f"n_patches must be a positive perfect square, got {n_patches}")
+    for k, (bands, h, w) in enumerate(subset_shapes):
+        if h % grid or w % grid:
+            raise ConfigError(f"subset {k} ({bands}x{h}x{w}) not divisible into {grid}x{grid} patches")
+    return grid
+
+
 def split_patches(subsets, n_patches: int) -> PatchSet:
     """Tile every subset of a sample into sqrt(R) x sqrt(R) patches."""
-    grid = int(round(np.sqrt(n_patches)))
-    if grid * grid != n_patches:
-        raise ConfigError(f"patch count must be a perfect square, got {n_patches}")
-    for arr in subsets:
-        bands, h, w = arr.shape
-        if h % grid or w % grid:
-            raise ConfigError(f"subset {bands}x{h}x{w} not divisible into {grid}x{grid} patches")
+    grid = patch_grid(n_patches, [arr.shape for arr in subsets])
     return PatchSet(per_subset=[tile(arr[None], grid) for arr in subsets], grid=grid)
 
 
@@ -169,9 +168,6 @@ def branch_forward(x: Tensor, spec: BranchSpec, params: BranchParams) -> Tensor:
     Accepts a stack (N, bands, h, w) or a single patch (bands, h, w), which
     runs as a stack of one and gives a 1-d output.
     """
-    expected = len(spec.band_indices)
-    if x.shape[-3] != expected:
-        raise ShapeError(f"branch expects {expected} bands, got input {x.shape}")
     out = x if x.ndim == 4 else T.reshape(x, (1,) + x.shape)
     for layer, kernels, bias in zip(spec.layers, params.conv_kernels, params.conv_biases):
         out = T.conv2d(out, kernels, bias, pool=layer.pool)

@@ -14,12 +14,12 @@ from .init import ParameterSet
 from .kbranch import (
     BranchSpec,
     ConvLayerSpec,
-    DEFAULT_BAND_GROUPS,
     FcParams,
     branch_forward,
     default_branch_specs,
     fuse_descriptors,
     make_branch_params,
+    patch_grid,
     tile,
 )
 from .tensor import Tensor
@@ -42,11 +42,7 @@ class ModelConfig:
 
     def __post_init__(self):
         if self.branches is None:
-            if len(self.subset_shapes) == len(DEFAULT_BAND_GROUPS):
-                groups = DEFAULT_BAND_GROUPS
-            else:
-                groups = [tuple(f"band{k}_{i}" for i in range(s[0])) for k, s in enumerate(self.subset_shapes)]
-            self.branches = default_branch_specs(groups)
+            self.branches = default_branch_specs(len(self.subset_shapes))
 
     @property
     def grid(self) -> int:
@@ -66,14 +62,17 @@ class ModelConfig:
         bands, h, w = self.subset_shapes[k]
         return (bands, h // self.grid, w // self.grid)
 
-    def validate(self, strict_filters: bool = True):
+    def validate(self):
+        """ConfigError unless the model can be built and run: the one check
+        of a model config, from a config file, a checkpoint echo or a
+        library caller. The paper's filter schedule (``BranchSpec.validate``)
+        is not part of it."""
         require_types("model", self)
         for k, spec in enumerate(self.branches):
             require_types(f"model.branches[{k}]", spec)
             for layer in spec.layers:
                 require_types(f"model.branches[{k}].layers", layer)
-        if self.n_patches < 1 or self.grid ** 2 != self.n_patches:
-            raise ConfigError(f"n_patches must be a positive perfect square, got {self.n_patches}")
+        g = patch_grid(self.n_patches, self.subset_shapes)
         if not self.branches or len(self.branches) != len(self.subset_shapes):
             raise ConfigError(
                 f"{len(self.branches)} branches for {len(self.subset_shapes)} band subsets"
@@ -82,19 +81,9 @@ class ModelConfig:
         for name in ("n_classes", "descriptor_width", "hidden_width", "attention_heads", "attention_width"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        g = self.grid
-        for k, (spec, shape) in enumerate(zip(self.branches, self.subset_shapes)):
-            bands, h, w = shape
-            if any(layer.kernel < 1 or layer.filters < 1 for layer in spec.layers):
-                raise ConfigError(f"branch {k} needs positive kernels and filter counts, got {spec.layers}")
-            if len(spec.band_indices) != bands:
-                raise ConfigError(
-                    f"branch {k} lists {len(spec.band_indices)} bands but subset {k} has {bands}"
-                )
-            if h % g or w % g:
-                raise ConfigError(f"subset {k} ({h}x{w}) not divisible into {g}x{g} patches")
-            if strict_filters:
-                spec.validate()
+        for k, (spec, (_, h, w)) in enumerate(zip(self.branches, self.subset_shapes)):
+            if spec.fc_out < 1 or any(layer.kernel < 1 or layer.filters < 1 for layer in spec.layers):
+                raise ConfigError(f"branch {k} needs positive kernels, filter counts and fc_out, got {spec}")
             spec.spatial_trace(h // g, w // g)
         if any(l.pool for l in self.branches[-1].layers):
             raise ConfigError("the lowest-resolution branch must not pool")
@@ -110,19 +99,32 @@ class ModelConfig:
     def from_dict(cls, payload) -> "ModelConfig":
         # older checkpoints echo per_position_lstm as false; each LSTM direction has one weight set
         payload = drop_legacy("model", payload, "per_position_lstm", False)
-        return cls(**config_kwargs("model", cls, payload, {
+        config = cls(**config_kwargs("model", cls, payload, {
             "subset_shapes": shape_triples,
             "branches": _branches_from_dict,
         }))
+        # older files name each branch's bands; a branch takes every band of its subset
+        shapes = config.subset_shapes
+        for k, branch in enumerate(payload.get("branches") or ()):
+            names = branch.get("band_indices", [])
+            if "band_indices" in branch and not (isinstance(names, list) and k < len(shapes)
+                                                 and len(names) == shapes[k][0]):
+                raise ConfigError(f"model.branches[{k}].band_indices is a former field that may only "
+                                  f"list one name per band of subset {k}, got {names!r}")
+        return config
 
 
 def _branches_from_dict(branches):
-    """BranchSpecs from their JSON form; None keeps the default schedules."""
+    """BranchSpecs from their JSON form, without the former band_indices
+    (``from_dict`` checks it); None keeps the default schedules."""
     if branches is None:
         return None
-    return [BranchSpec(**{**b, "band_indices": list(b["band_indices"]),
-                          "layers": [ConvLayerSpec(*layer) for layer in b["layers"]]})
-            for b in branches]
+    specs = []
+    for b in branches:
+        fields = {**b, "layers": [ConvLayerSpec(*layer) for layer in b["layers"]]}
+        fields.pop("band_indices", None)
+        specs.append(BranchSpec(**fields))
+    return specs
 
 
 @dataclass

@@ -158,7 +158,7 @@ class TestTrain:
         ({"train": {"epochs": True}}, "epochs"),
         ({"model": {"hidden_width": "8"}}, "hidden_width"),
         ({"model": {"branches": 5}}, "branches"),
-        ({"model": {"branches": [{"band_indices": ["a"], "layers": [["3", 32, False]], "fc_out": 8}]}},
+        ({"model": {"branches": [{"layers": [["3", 32, False]], "fc_out": 8}]}},
          "kernel"),
         ({"model": [1]}, "model"),
         ({"model": {"hidden_widht": 8}}, "hidden_widht"),
@@ -189,6 +189,46 @@ class TestTrain:
                      "--config", str(cfg), "--epochs", "1"]) == 0
         captured = capsys.readouterr()
         assert captured.err == "" and "optimizer" not in captured.out
+
+    def test_config_file_with_the_former_band_indices(self, workspace, tmp_path, capsys):
+        """Older config files name each branch's bands: one name per band of
+        the subset trains as without them, and the echo drops them; a list
+        of another length exits 2 naming the field."""
+        from mrscene.model import ModelConfig
+
+        shapes = json.loads((workspace["data"] / "manifest.json").read_text())["subset_shapes"]
+        branches = ModelConfig(n_classes=4, subset_shapes=shapes).to_dict()["branches"]
+        named = [{**b, "band_indices": [f"B{i}" for i in range(bands)]} for b, (bands, _, _) in zip(branches, shapes)]
+        args = ["train", "--data", str(workspace["data"]), "--epochs", "2", "--seed", "1", "--batch-size", "8",
+                "--config", str(tmp_path / "cfg.json")]
+        (tmp_path / "cfg.json").write_text(json.dumps({"model": {"branches": named}}))
+        assert main(args + ["--out", str(tmp_path / "named")]) == 0
+        assert "band_indices" not in capsys.readouterr().out
+        assert (tmp_path / "named" / "loss_log.txt").read_bytes() == (workspace["run"] / "loss_log.txt").read_bytes()
+        named[1]["band_indices"] = ["B0"]
+        (tmp_path / "cfg.json").write_text(json.dumps({"model": {"branches": named}}))
+        assert main(args + ["--out", str(tmp_path / "short")]) == 2
+        assert_one_error_line(capsys.readouterr().err, "model.branches[1].band_indices")
+        assert not (tmp_path / "short").exists()
+
+    def test_the_filter_schedule_binds_config_files_not_checkpoints(self, workspace, tmp_path, capsys):
+        """A model to train follows the paper's filter schedule (32 filters
+        first, double then halve, 64 last); a checkpoint of a model that
+        does not still loads."""
+        from mrscene.checkpoint import write_checkpoint
+        from mrscene.kbranch import BranchSpec, ConvLayerSpec
+        from mrscene.model import Model, ModelConfig
+
+        shapes = json.loads((workspace["data"] / "manifest.json").read_text())["subset_shapes"]
+        config = ModelConfig(n_classes=4, subset_shapes=shapes,
+                             branches=[BranchSpec([ConvLayerSpec(3, 4)], fc_out=5) for _ in shapes])
+        (tmp_path / "cfg.json").write_text(json.dumps({"model": {"branches": config.to_dict()["branches"]}}))
+        assert main(["train", "--data", str(workspace["data"]), "--out", str(tmp_path / "o"),
+                     "--config", str(tmp_path / "cfg.json")]) == 2
+        assert_one_error_line(capsys.readouterr().err, "32 filters")
+        write_checkpoint(tmp_path / "small.mac", Model(config).parameters, {}, 0, {"model": config.to_dict()})
+        assert main(["evaluate", "--data", str(workspace["data"]), "--checkpoint", str(tmp_path / "small.mac")]) == 0
+        capsys.readouterr()
 
     def test_threshold_is_stored_in_the_model_and_used_by_evaluate(self, workspace, tmp_path, capsys):
         from mrscene.checkpoint import read_checkpoint
@@ -386,6 +426,29 @@ class TestEvaluatePredictAttn:
         ckpt = self.with_model_echo(workspace, tmp_path / "echo.mac", per_position_lstm=per_position)
         assert main(["evaluate", "--data", str(workspace["data"]), "--checkpoint", str(ckpt)]) == code
         assert ("per_position_lstm" in capsys.readouterr().err) == bool(code)
+
+    @pytest.mark.parametrize("field,value,code", [
+        ("band_indices", ["B02", "B03", "B04", "B08"], 0), ("band_indices", ["B02"], 2),
+        ("band_indices", "B0B1B2B3", 2), ("fc_out", 0, 2),
+    ])
+    def test_checkpoint_echo_of_the_first_branch(self, workspace, tmp_path, capsys, field, value, code):
+        """Older echoes name each branch's bands: one name per band of the
+        subset evaluates as without them; another value, or fc_out 0, is
+        refused."""
+        from mrscene.checkpoint import read_checkpoint
+
+        args = ["evaluate", "--data", str(workspace["data"]), "--checkpoint"]
+        assert main(args + [str(workspace["checkpoint"])]) == 0
+        report = capsys.readouterr().out.split("\n", 1)[1]  # after the config echo line
+        branches = read_checkpoint(workspace["checkpoint"]).config["model"]["branches"]
+        ckpt = self.with_model_echo(workspace, tmp_path / "echo.mac",
+                                    branches=[{**branches[0], field: value}] + branches[1:])
+        assert main(args + [str(ckpt)]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert_one_error_line(captured.err, field)
+        else:
+            assert captured.out.split("\n", 1)[1] == report
 
     @pytest.mark.parametrize("command", ["evaluate", "predict", "attn-dump"])
     @pytest.mark.parametrize("width", [10**12, 10**19])

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from mrscene.dataset import (
+    GRID,
     MAX_NOISE,
+    PROFILES,
     DatasetManifest,
     Sample,
     dataset_signatures,
@@ -26,6 +28,7 @@ from mrscene.errors import (
     TruncatedFileError,
     UsageError,
 )
+from mrscene.model import ModelConfig
 
 
 def tree_digest(root: Path) -> str:
@@ -173,6 +176,16 @@ class TestSplitCounts:
 
 
 class TestGenerator:
+    @pytest.mark.parametrize("name", sorted(PROFILES))
+    def test_every_profile_divides_into_the_grid(self, name):
+        """Class regions are aligned to the GRID x GRID cells the default
+        model tiles, so every profile divides into them."""
+        profile = PROFILES[name]
+        assert all(h % GRID == 0 and w % GRID == 0 for _, h, w in profile.subset_shapes)
+        config = ModelConfig(n_classes=profile.default_classes, subset_shapes=profile.subset_shapes)
+        assert config.grid == GRID
+        config.validate()
+
     def test_deterministic_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         generate_synthetic(a, seed=42, n_samples=12, profile="tiny")

@@ -68,8 +68,11 @@ class TestSplitPatches:
                 np.testing.assert_array_equal(tiles[r * 3 + b], per_sample.patch(r, 0))
 
     def test_non_square_patch_count_rejected(self):
-        with pytest.raises(ConfigError):
-            split_patches([np.zeros((1, 8, 8))], 3)
+        """The grid rule ModelConfig.validate applies: no count but a
+        positive perfect square passes, however large."""
+        for n_patches in (3, 0, -4, 10**41, 10**42):
+            with pytest.raises(ConfigError, match="n_patches|divisible"):
+                split_patches([np.zeros((1, 8, 8))], n_patches)
 
     def test_non_divisible_dimensions_rejected(self):
         with pytest.raises(ConfigError):
@@ -78,12 +81,12 @@ class TestSplitPatches:
 
 class TestBranchSpec:
     def test_default_specs_validate(self):
-        for spec in default_branch_specs([("a",) * 4, ("b",) * 6, ("c",) * 2]):
+        for spec in default_branch_specs(3):
             spec.validate()
 
     def test_filter_regime_enforced(self):
         def spec_with(filters):
-            return BranchSpec(["x"], [ConvLayerSpec(3, f) for f in filters])
+            return BranchSpec([ConvLayerSpec(3, f) for f in filters])
 
         spec_with([32, 64, 128, 64]).validate()
         spec_with([32, 64]).validate()
@@ -95,33 +98,29 @@ class TestBranchSpec:
             spec_with([32, 48, 64]).validate()
 
     def test_default_last_branch_has_no_pooling(self):
-        specs = default_branch_specs([("a",), ("b",), ("c",)])
+        specs = default_branch_specs(3)
         assert not any(l.pool for l in specs[-1].layers)
 
     def test_spatial_trace_branch1(self):
-        spec = default_branch_specs([("a",) * 4, ("b",) * 6, ("c",) * 2])[0]
+        spec = default_branch_specs(3)[0]
         sizes = [s[0] for s in spec.spatial_trace(30, 30)]
         assert sizes == [30, 15, 7, 7, 7]
 
     def test_branch3_keeps_spatial_size(self):
-        spec = default_branch_specs([("a",) * 4, ("b",) * 6, ("c",) * 2])[2]
+        spec = default_branch_specs(3)[2]
         assert [l.kernel for l in spec.layers] == [2, 2, 2, 2]
         assert [l.filters for l in spec.layers] == [32, 64, 128, 64]
         assert [s[0] for s in spec.spatial_trace(5, 5)] == [5, 5, 5, 5, 5]
 
     def test_pooling_below_one_rejected(self):
-        spec = BranchSpec(["x"], [ConvLayerSpec(3, 32, pool=True), ConvLayerSpec(3, 64, pool=True)])
+        spec = BranchSpec([ConvLayerSpec(3, 32, pool=True), ConvLayerSpec(3, 64, pool=True)])
         with pytest.raises(ConfigError):
             spec.spatial_trace(2, 2)  # 2 -> 1, pooling 1x1 next would hit zero
 
 
 class TestBranchForward:
-    def small_spec(self, bands=2):
-        return BranchSpec(
-            band_indices=["b"] * bands,
-            layers=[ConvLayerSpec(3, 4, pool=True), ConvLayerSpec(2, 3)],
-            fc_out=5,
-        )
+    def small_spec(self):
+        return BranchSpec(layers=[ConvLayerSpec(3, 4, pool=True), ConvLayerSpec(2, 3)], fc_out=5)
 
     def test_output_width_is_fc_out_regardless_of_content(self):
         rng = np.random.default_rng(3)
@@ -141,10 +140,14 @@ class TestBranchForward:
         np.testing.assert_array_equal(out.data, params.fc.bias.data)
 
     def test_band_count_mismatch(self):
-        spec = self.small_spec(bands=2)
+        spec = self.small_spec()
         params = make_branch_params(spec, 2, 6, 6, ParameterSet(seed=0), "br")
         with pytest.raises(ShapeError):
             branch_forward(Tensor(np.zeros((3, 6, 6))), spec, params)
+        bare = BranchSpec(layers=[], fc_out=5)  # no conv layer: the fc finds the mismatch
+        bare_params = make_branch_params(bare, 2, 6, 6, ParameterSet(seed=0), "bare")
+        with pytest.raises(ShapeError):
+            branch_forward(Tensor(np.zeros((3, 6, 6))), bare, bare_params)
 
     def test_batched_matches_per_patch(self):
         rng = np.random.default_rng(5)
@@ -214,7 +217,7 @@ class TestPatchPermutationSharing:
         """Shared parameters: swapping two patches swaps their descriptors
         and leaves every other descriptor untouched."""
         rng = np.random.default_rng(10)
-        spec = BranchSpec(["b", "b"], [ConvLayerSpec(3, 4)], fc_out=6)
+        spec = BranchSpec([ConvLayerSpec(3, 4)], fc_out=6)
         params = make_branch_params(spec, 2, 4, 4, ParameterSet(seed=3), "br")
         fusion = FcParams(weight=Tensor(rng.normal(size=(5, 6)).astype(np.float32)),
                           bias=Tensor(np.zeros(5, np.float32)))

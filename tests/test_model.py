@@ -1,12 +1,17 @@
 """Model assembly: config validation, forward wiring, batching consistency."""
 
+import copy
+import functools
 import importlib.util
 import json
+import operator
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrscene import tensor as T
 from mrscene.attention import attention_scores, pool_descriptors
@@ -26,8 +31,8 @@ def small_config() -> ModelConfig:
         n_classes=3,
         subset_shapes=[(2, 8, 8), (1, 4, 4)],
         branches=[
-            BranchSpec(["a", "b"], [ConvLayerSpec(3, 4, pool=True), ConvLayerSpec(3, 3)], fc_out=5),
-            BranchSpec(["c"], [ConvLayerSpec(2, 3), ConvLayerSpec(2, 2)], fc_out=4),
+            BranchSpec([ConvLayerSpec(3, 4, pool=True), ConvLayerSpec(3, 3)], fc_out=5),
+            BranchSpec([ConvLayerSpec(2, 3), ConvLayerSpec(2, 2)], fc_out=4),
         ],
         n_patches=4,
         descriptor_width=6,
@@ -37,6 +42,7 @@ def small_config() -> ModelConfig:
     )
 
 
+@functools.cache
 def load_bench_reference():
     """bench/reference.py: a float64 forward written apart from mrscene.tensor."""
     path = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
@@ -61,7 +67,8 @@ class TestModelConfig:
 
     def test_reads_the_dict_a_stored_checkpoint_carries(self):
         """Branch layers are [kernel, filters, pool] lists, as checkpoints
-        written before the dict form came from the dataclass fields hold them."""
+        written before the dict form came from the dataclass fields hold them.
+        Older checkpoints also name each branch's bands."""
         stored = {
             "n_classes": 3, "subset_shapes": [[2, 8, 8], [1, 4, 4]],
             "branches": [
@@ -72,7 +79,9 @@ class TestModelConfig:
             "attention_width": 4, "threshold": 0.5, "per_position_lstm": False,
         }
         assert ModelConfig.from_dict(stored) == small_config()
-        del stored["per_position_lstm"]  # a former field that new checkpoints do not echo
+        del stored["per_position_lstm"]  # former fields that new checkpoints do not echo
+        for branch in stored["branches"]:
+            del branch["band_indices"]
         assert json.loads(json.dumps(small_config().to_dict())) == stored
 
     @pytest.mark.parametrize("value", [True, 1, 0, None, "false"])
@@ -98,10 +107,11 @@ class TestModelConfig:
          "branches": [{"band_indices": 5, "layers": [], "fc_out": 5}]},
         {"n_classes": 3, "subset_shapes": [[2, 8, 8]],
          "branches": [{"band_indices": ["a"], "layers": [], "fc_out": 5, "stride": 2}]},
+        {"n_classes": 3, "subset_shapes": [[True, 8, 8]]},
     ])
     def test_from_dict_rejects_malformed_payload(self, payload):
         with pytest.raises(ConfigError):
-            ModelConfig.from_dict(payload).validate(strict_filters=False)
+            ModelConfig.from_dict(payload).validate()
 
     @pytest.mark.parametrize("field,value", [
         ("threshold", 1.0), ("threshold", float("nan")), ("hidden_width", "8"),
@@ -111,7 +121,7 @@ class TestModelConfig:
         cfg = small_config()
         setattr(cfg, field, value)
         with pytest.raises(ConfigError, match=field):
-            cfg.validate(strict_filters=False)
+            cfg.validate()
 
     @pytest.mark.parametrize("layer", [ConvLayerSpec("3", 4), ConvLayerSpec(3, 4.0), ConvLayerSpec(3, 4, 1),
                                        ConvLayerSpec(0, 4), ConvLayerSpec(3, -1)])
@@ -119,37 +129,44 @@ class TestModelConfig:
         cfg = small_config()
         cfg.branches[0].layers[0] = layer
         with pytest.raises(ConfigError):
-            cfg.validate(strict_filters=False)
+            cfg.validate()
 
     def test_rejects_non_square_patch_count(self):
         cfg = small_config()
         cfg.n_patches = 3
         with pytest.raises(ConfigError):
-            cfg.validate(strict_filters=False)
+            cfg.validate()
 
     def test_rejects_indivisible_geometry(self):
         cfg = small_config()
         cfg.subset_shapes[0] = (2, 9, 9)
         with pytest.raises(ConfigError):
-            cfg.validate(strict_filters=False)
+            cfg.validate()
 
     def test_rejects_band_count_mismatch(self):
-        cfg = small_config()
-        cfg.branches[0].band_indices = ["a"]
-        with pytest.raises(ConfigError):
-            cfg.validate(strict_filters=False)
+        """The former band_indices loads only as a list of one name per band
+        of its subset, and is dropped."""
+        payload = small_config().to_dict()
+        payload["branches"][0]["band_indices"] = ["x", "y"]
+        assert ModelConfig.from_dict(payload) == small_config()
+        for names in (["a"], ["a", "b", "c"], [], "ab", None, 2):
+            payload["branches"][0]["band_indices"] = names
+            with pytest.raises(ConfigError, match=r"model\.branches\[0\]\.band_indices"):
+                ModelConfig.from_dict(payload)
 
     def test_rejects_pooling_in_last_branch(self):
         cfg = small_config()
         cfg.branches[-1].layers[0].pool = True
         with pytest.raises(ConfigError):
-            cfg.validate(strict_filters=False)
+            cfg.validate()
 
     def test_strict_filter_regime(self):
+        """The filter schedule is the branch's own check, not one of the
+        model config: shrunken filters build and run."""
         cfg = small_config()
-        with pytest.raises(ConfigError):
-            cfg.validate(strict_filters=True)  # shrunken filters violate the regime
-        cfg.validate(strict_filters=False)
+        with pytest.raises(ConfigError, match="32 filters"):
+            cfg.branches[0].validate()
+        cfg.validate()
 
 
 class TestModelForward:
@@ -242,7 +259,7 @@ class TestModelForward:
         cfg = ModelConfig(
             n_classes=2,
             subset_shapes=[(3, 6, 6)],
-            branches=[BranchSpec(["r", "g", "b"], [ConvLayerSpec(3, 4)], fc_out=5)],
+            branches=[BranchSpec([ConvLayerSpec(3, 4)], fc_out=5)],
             n_patches=1,
             descriptor_width=6,
             hidden_width=4,
@@ -464,3 +481,80 @@ class TestIndependentReference:
         params = {name: p.data for name, p in model.parameters.items()}
         np.testing.assert_allclose(logits, reference.forward_one(subsets, params, model.config),
                                    rtol=0, atol=1e-9)
+
+
+@st.composite
+def drawn_configs(draw):
+    """Configs that ``validate`` accepts: 1-3 subsets of 1-3 bands on a 1-4
+    grid, each branch 0-3 conv layers of kernel 1-5 (even, and wider than
+    its patch, included), pooling wherever the map allows it but in the
+    last branch, and widths of 1-4."""
+    width = st.integers(1, 4)
+    n_subsets, grid = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    shapes, branches = [], []
+    for k in range(n_subsets):
+        bands, h, w = draw(st.integers(1, 3)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        shapes.append((bands, h * grid, w * grid))
+        layers = []
+        for _ in range(draw(st.integers(0, 3))):
+            pool = k < n_subsets - 1 and min(h, w) >= 2 and draw(st.booleans())
+            h, w = (h // 2, w // 2) if pool else (h, w)
+            layers.append(ConvLayerSpec(draw(st.integers(1, 5)), draw(width), pool))
+        branches.append(BranchSpec(layers, fc_out=draw(width)))
+    return ModelConfig(n_classes=draw(st.integers(1, 3)), subset_shapes=shapes, branches=branches,
+                       n_patches=grid * grid, descriptor_width=draw(width), hidden_width=draw(width),
+                       attention_heads=draw(st.integers(1, 3)), attention_width=draw(width))
+
+
+def json_paths(node, prefix=()):
+    """The key path of every value inside a JSON tree, containers included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from json_paths(child, prefix + (key,))
+
+
+ODD_VALUES = st.sampled_from([-1, 0, 1, 2, 3, 16, 2.5, float("nan"), True, False, None, "3", [], [3],
+                              [2, 8, 8], [[3, 4, False]], {}, {"layers": []}])
+
+
+class TestDrawnConfigs:
+    @settings(max_examples=100, deadline=None)
+    @given(config=drawn_configs(), batch=st.integers(1, 3), seed=st.integers(0, 2**16))
+    def test_logits_match_the_float64_reference(self, config, batch, seed):
+        config.validate()
+        model = Model(config, seed=seed, dtype=np.float64)
+        rng = np.random.default_rng(seed)
+        for p in model.parameters.values():
+            if p.ndim == 1:  # the biases, zero at initialisation
+                p.data[:] = 0.1 * rng.standard_normal(p.shape)
+        arrays = [rng.normal(size=(batch,) + shape) for shape in config.subset_shapes]
+        with T.no_grad():
+            logits = model.forward(arrays).scores.data
+        params = {name: p.data for name, p in model.parameters.items()}
+        for b in range(batch):
+            expected = load_bench_reference().forward_one([a[b] for a in arrays], params, config)
+            np.testing.assert_allclose(logits[b], expected, rtol=1e-9, atol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_a_mutated_payload_is_refused_or_runs(self, data):
+        """One or two values of a valid payload replaced: either validation
+        raises ConfigError and nothing else, or the model trains a step."""
+        payload = json.loads(json.dumps(data.draw(drawn_configs()).to_dict()))
+        for _ in range(data.draw(st.integers(1, 2))):
+            path = data.draw(st.sampled_from(list(json_paths(payload))))
+            parent = functools.reduce(operator.getitem, path[:-1], payload)
+            parent[path[-1]] = copy.deepcopy(data.draw(ODD_VALUES))
+        try:
+            config = ModelConfig.from_dict(payload)
+            config.validate()
+        except ConfigError:
+            return
+        model = Model(config, seed=0)
+        rng = np.random.default_rng(0)
+        arrays = [rng.normal(size=(2,) + tuple(shape)).astype(np.float32) for shape in config.subset_shapes]
+        loss = bce_with_logits_loss(model.forward(arrays).scores, np.ones((2, config.n_classes)))
+        loss.backward()
+        assert np.isfinite(loss.item())
+        assert all(p.grad is not None for p in model.parameters.values())

@@ -100,7 +100,7 @@ def tiny_model_and_samples(n=8, seed=0):
     cfg = ModelConfig(
         n_classes=3,
         subset_shapes=[(2, 8, 8)],
-        branches=[BranchSpec(["a", "b"], [ConvLayerSpec(3, 4, pool=True), ConvLayerSpec(3, 3)], fc_out=5)],
+        branches=[BranchSpec([ConvLayerSpec(3, 4, pool=True), ConvLayerSpec(3, 3)], fc_out=5)],
         n_patches=4,
         descriptor_width=6,
         hidden_width=5,
