@@ -19,6 +19,7 @@ from .checkpoint import load_parameters, read_checkpoint
 from .dataset import DatasetManifest, generate_synthetic, load_split
 from .errors import ConfigError, MrsceneError, TrainingDivergedError, UsageError, json_object
 from .head import check_threshold, predict
+from .kbranch import check_paper_architecture
 from .model import Model, ModelConfig
 from .trainer import TrainConfig, evaluate_model, train
 
@@ -75,8 +76,7 @@ def _resolve_configs(args, manifest: DatasetManifest):
         model_payload["threshold"] = args.threshold
 
     model_cfg = _model_config(model_payload, manifest, "config")
-    for spec in model_cfg.branches:  # a model to train follows the paper's filter schedule
-        spec.validate()
+    check_paper_architecture(model_cfg.branches)  # binds a model to train, not a checkpoint's
     train_cfg = TrainConfig.from_dict(train_payload)
     train_cfg.validate()
     echo = {"model": model_cfg.to_dict(), "train": train_cfg.to_dict(), "data": str(args.data)}

@@ -33,24 +33,6 @@ class BranchSpec:
     layers: list
     fc_out: int = 128
 
-    def validate(self):
-        """Enforce the filter schedule of the paper: start at 32, double
-        up then halve down, end at 64."""
-        if not self.layers:
-            raise ConfigError("branch needs at least one conv layer")
-        filters = [l.filters for l in self.layers]
-        if filters[0] != 32:
-            raise ConfigError(f"first conv layer must have 32 filters, got {filters[0]}")
-        if filters[-1] != 64:
-            raise ConfigError(f"last conv layer must have 64 filters, got {filters[-1]}")
-        climbing = True
-        for prev, cur in zip(filters, filters[1:]):
-            if climbing and cur == 2 * prev:
-                continue
-            climbing = False
-            if cur * 2 != prev:
-                raise ConfigError(f"filter counts must double then halve, got {filters}")
-
     def spatial_trace(self, h: int, w: int) -> list:
         """Spatial sizes after each layer; same-padding convs keep size,
         pooling floors by two."""
@@ -62,6 +44,30 @@ class BranchSpec:
                 h, w = h // 2, w // 2
             trace.append((h, w))
         return trace
+
+
+def check_paper_architecture(branches: list):
+    """ConfigError unless ``branches`` follow the paper's architecture: each
+    branch's filters start at 32, double up then halve down, and end at 64,
+    and the lowest-resolution branch, the last, does not pool. A model to
+    train is held to it; a model builds and runs without it."""
+    for spec in branches:
+        if not spec.layers:
+            raise ConfigError("branch needs at least one conv layer")
+        filters = [l.filters for l in spec.layers]
+        if filters[0] != 32:
+            raise ConfigError(f"first conv layer must have 32 filters, got {filters[0]}")
+        if filters[-1] != 64:
+            raise ConfigError(f"last conv layer must have 64 filters, got {filters[-1]}")
+        climbing = True
+        for prev, cur in zip(filters, filters[1:]):
+            if climbing and cur == 2 * prev:
+                continue
+            climbing = False
+            if cur * 2 != prev:
+                raise ConfigError(f"filter counts must double then halve, got {filters}")
+    if any(l.pool for l in branches[-1].layers):
+        raise ConfigError("the lowest-resolution branch must not pool")
 
 
 def default_branch_specs(n_subsets: int) -> list:

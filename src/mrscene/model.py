@@ -65,8 +65,8 @@ class ModelConfig:
     def validate(self):
         """ConfigError unless the model can be built and run: the one check
         of a model config, from a config file, a checkpoint echo or a
-        library caller. The paper's filter schedule (``BranchSpec.validate``)
-        is not part of it."""
+        library caller; ``Model`` runs it first. The paper's architecture
+        (``kbranch.check_paper_architecture``) is not part of it."""
         require_types("model", self)
         for k, spec in enumerate(self.branches):
             require_types(f"model.branches[{k}]", spec)
@@ -85,8 +85,6 @@ class ModelConfig:
             if spec.fc_out < 1 or any(layer.kernel < 1 or layer.filters < 1 for layer in spec.layers):
                 raise ConfigError(f"branch {k} needs positive kernels, filter counts and fc_out, got {spec}")
             spec.spatial_trace(h // g, w // g)
-        if any(l.pool for l in self.branches[-1].layers):
-            raise ConfigError("the lowest-resolution branch must not pool")
 
     def to_dict(self) -> dict:
         """JSON form; each conv layer is the list [kernel, filters, pool]."""
@@ -142,6 +140,7 @@ class Model:
     no-grad inference loop (``infer``) over lists of samples."""
 
     def __init__(self, config: ModelConfig, seed: int = 0, dtype=np.float32):
+        config.validate()
         self.config = config
         self.dtype = dtype
         self.parameters = params = ParameterSet(seed, dtype)

@@ -794,16 +794,7 @@ def _blas_threads():
 
 @functools.cache
 def _shard_worker() -> futures.ThreadPoolExecutor:
-    """The one worker thread, made on first use. Before it exists, glibc is
-    told to serve every thread from its main malloc arena: an arena of the
-    worker's own would hold its freed blocks apart and raise peak RSS."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):  # not glibc
-        pass
-    else:
-        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-        mallopt(-8, 1)  # M_ARENA_MAX
+    """The one worker thread, made on first use."""
     return futures.ThreadPoolExecutor(1, thread_name_prefix="mrscene-shard")
 
 

@@ -2,10 +2,20 @@
 itself, not a test that runs after it."""
 
 import gc
+import warnings
 
 import pytest
 
 from mrscene import tensor as T
+
+# Hypothesis's pytest plugin imports this module when a property fails, and
+# the import warns through mypy_extensions; under the suite's
+# error::DeprecationWarning that warning replaced the falsifying example
+# with an INTERNALERROR. Imported here once, the plugin finds it loaded.
+with warnings.catch_warnings():
+    warnings.filterwarnings("ignore", message="mypy_extensions.TypedDict is deprecated",
+                            category=DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 def blas_thread_count():

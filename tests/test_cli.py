@@ -230,6 +230,24 @@ class TestTrain:
         assert main(["evaluate", "--data", str(workspace["data"]), "--checkpoint", str(tmp_path / "small.mac")]) == 0
         capsys.readouterr()
 
+    def test_the_pooling_rule_binds_config_files_not_checkpoints(self, workspace, tmp_path, capsys):
+        """A model to train does not pool in its lowest-resolution branch;
+        a checkpoint of a model that does still loads."""
+        from mrscene.checkpoint import write_checkpoint
+        from mrscene.model import Model, ModelConfig
+
+        shapes = json.loads((workspace["data"] / "manifest.json").read_text())["subset_shapes"]
+        config = ModelConfig(n_classes=4, subset_shapes=shapes, n_patches=4)
+        config.branches[-1].layers[0].pool = True
+        (tmp_path / "cfg.json").write_text(json.dumps({"model": {"n_patches": 4,
+                                                                  "branches": config.to_dict()["branches"]}}))
+        assert main(["train", "--data", str(workspace["data"]), "--out", str(tmp_path / "o"),
+                     "--config", str(tmp_path / "cfg.json")]) == 2
+        assert_one_error_line(capsys.readouterr().err, "must not pool")
+        write_checkpoint(tmp_path / "pooled.mac", Model(config).parameters, {}, 0, {"model": config.to_dict()})
+        assert main(["evaluate", "--data", str(workspace["data"]), "--checkpoint", str(tmp_path / "pooled.mac")]) == 0
+        capsys.readouterr()
+
     def test_threshold_is_stored_in_the_model_and_used_by_evaluate(self, workspace, tmp_path, capsys):
         from mrscene.checkpoint import read_checkpoint
 

@@ -11,6 +11,7 @@ from mrscene.kbranch import (
     ConvLayerSpec,
     FcParams,
     branch_forward,
+    check_paper_architecture,
     default_branch_specs,
     fuse_descriptors,
     make_branch_params,
@@ -81,21 +82,17 @@ class TestSplitPatches:
 
 class TestBranchSpec:
     def test_default_specs_validate(self):
-        for spec in default_branch_specs(3):
-            spec.validate()
+        check_paper_architecture(default_branch_specs(3))
 
     def test_filter_regime_enforced(self):
         def spec_with(filters):
             return BranchSpec([ConvLayerSpec(3, f) for f in filters])
 
-        spec_with([32, 64, 128, 64]).validate()
-        spec_with([32, 64]).validate()
-        with pytest.raises(ConfigError):
-            spec_with([16, 32, 64]).validate()
-        with pytest.raises(ConfigError):
-            spec_with([32, 64, 128]).validate()
-        with pytest.raises(ConfigError):
-            spec_with([32, 48, 64]).validate()
+        check_paper_architecture([spec_with([32, 64, 128, 64])])
+        check_paper_architecture([spec_with([32, 64])])
+        for filters in ([16, 32, 64], [32, 64, 128], [32, 48, 64], []):
+            with pytest.raises(ConfigError):
+                check_paper_architecture([spec_with([32, 64]), spec_with(filters)])
 
     def test_default_last_branch_has_no_pooling(self):
         specs = default_branch_specs(3)

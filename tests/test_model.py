@@ -20,7 +20,14 @@ from mrscene.dataset import PROFILES, Sample
 from mrscene.errors import ConfigError, ShapeError, UsageError
 from mrscene.head import bce_with_logits_loss, classify
 from mrscene.init import ParameterSet, xavier_init
-from mrscene.kbranch import BranchSpec, ConvLayerSpec, branch_forward, fuse_descriptors, split_patches
+from mrscene.kbranch import (
+    BranchSpec,
+    ConvLayerSpec,
+    branch_forward,
+    check_paper_architecture,
+    fuse_descriptors,
+    split_patches,
+)
 from mrscene.model import Model, ModelConfig
 from mrscene.tensor import Tensor, run_shards
 from mrscene.trainer import evaluate_model
@@ -155,18 +162,34 @@ class TestModelConfig:
                 ModelConfig.from_dict(payload)
 
     def test_rejects_pooling_in_last_branch(self):
-        cfg = small_config()
+        """Pooling in the lowest-resolution branch breaks the paper's
+        architecture, not the computation: the model config accepts it."""
+        cfg = ModelConfig(n_classes=3, subset_shapes=[(2, 16, 16), (1, 8, 8)])
+        check_paper_architecture(cfg.branches)
         cfg.branches[-1].layers[0].pool = True
-        with pytest.raises(ConfigError):
-            cfg.validate()
+        cfg.validate()
+        with pytest.raises(ConfigError, match="must not pool"):
+            check_paper_architecture(cfg.branches)
 
     def test_strict_filter_regime(self):
-        """The filter schedule is the branch's own check, not one of the
-        model config: shrunken filters build and run."""
+        """The filter schedule is part of the paper's architecture, not of
+        the model config: shrunken filters build and run."""
         cfg = small_config()
         with pytest.raises(ConfigError, match="32 filters"):
-            cfg.branches[0].validate()
+            check_paper_architecture(cfg.branches)
         cfg.validate()
+
+    @pytest.mark.parametrize("changes", [
+        {"n_patches": 5}, {"n_patches": 0}, {"descriptor_width": 0}, {"attention_heads": 0},
+        {"n_patches": 16, "subset_shapes": [(2, 8, 8), (1, 6, 6)]},
+    ])
+    def test_model_refuses_an_invalid_config(self, changes):
+        """Model runs the config check before it builds anything."""
+        cfg = small_config()
+        for field, value in changes.items():
+            setattr(cfg, field, value)
+        with pytest.raises(ConfigError):
+            Model(cfg)
 
 
 class TestModelForward:
@@ -487,17 +510,17 @@ class TestIndependentReference:
 def drawn_configs(draw):
     """Configs that ``validate`` accepts: 1-3 subsets of 1-3 bands on a 1-4
     grid, each branch 0-3 conv layers of kernel 1-5 (even, and wider than
-    its patch, included), pooling wherever the map allows it but in the
-    last branch, and widths of 1-4."""
+    its patch, included), pooling wherever the map allows it, and widths
+    of 1-4."""
     width = st.integers(1, 4)
     n_subsets, grid = draw(st.integers(1, 3)), draw(st.integers(1, 4))
     shapes, branches = [], []
-    for k in range(n_subsets):
+    for _ in range(n_subsets):
         bands, h, w = draw(st.integers(1, 3)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
         shapes.append((bands, h * grid, w * grid))
         layers = []
         for _ in range(draw(st.integers(0, 3))):
-            pool = k < n_subsets - 1 and min(h, w) >= 2 and draw(st.booleans())
+            pool = min(h, w) >= 2 and draw(st.booleans())
             h, w = (h // 2, w // 2) if pool else (h, w)
             layers.append(ConvLayerSpec(draw(st.integers(1, 5)), draw(width), pool))
         branches.append(BranchSpec(layers, fc_out=draw(width)))
